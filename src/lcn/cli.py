@@ -57,13 +57,18 @@ def _paint(text: str, code: str) -> str:
 _STATUS_STYLE = {"satisfied": "32", "violated": "31", "vacuous": "33"}
 
 
-def _load_model(path: str) -> Lcn:
+def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as exc:
         raise LcnError(f"cannot read {path}: {exc.strerror}") from None
-    return parse_lcn(text)
+    except UnicodeDecodeError as exc:
+        raise LcnError(f"cannot read {path}: {exc}") from None
+
+
+def _load_model(path: str) -> Lcn:
+    return parse_lcn(_read_text(path))
 
 
 def _build_graph(lcn: Lcn, kind: str, syntactic: bool = False) -> MixedGraph:
@@ -209,11 +214,9 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_dist(args: argparse.Namespace) -> int:
+    text = _read_text(args.table)
     try:
-        with open(args.table, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise LcnError(f"cannot read {args.table}: {exc.strerror}") from None
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise LcnError(f"{args.table}: {exc}") from None
     table = oracle.table_from_json_dict(data)
@@ -280,6 +283,26 @@ def _cmd_condense(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # Argument plumbing
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not value >= 0.0:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {text!r}")
+    return value
+
+
 def _add_condition_options(parser: argparse.ArgumentParser, suffix: str = "") -> None:
     parser.add_argument(f"--condition{suffix}", required=True,
                         choices=markov.CONDITIONS)
@@ -337,15 +360,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--strict", action="store_true",
                    help="treat vacuous conditional constraints as violations")
-    p.add_argument("--tol", type=float, default=oracle.DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=oracle.DEFAULT_TOL)
     p.set_defaults(func=_cmd_check_dist)
 
     p = sub.add_parser("verify",
                        help="sample factorized tables and check local statements")
     p.add_argument("model")
-    p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--samples", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=_tolerance, default=1e-7)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("condense", help="contract directed cycles into super-nodes")

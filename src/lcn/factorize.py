@@ -28,7 +28,7 @@ from .formula import (
     Not,
     Or,
     canonical_key,
-    eval_formula,
+    truth_mask,
 )
 from .graph import MixedGraph, Node, _undirected_key, super_node
 from .model import Lcn, format_constraint
@@ -208,13 +208,13 @@ def prune_hard_constraints(lcn: Lcn, plan: FactorizationPlan) -> PruneReport:
     formula's propositions.  A hard constraint whose propositions fit in
     no single clique is reported as an error rather than accepted.
     """
-    spaces: list[tuple[int, tuple[str, ...], list[tuple[int, ...]]]] = []
+    # Configurations are kept as indices: bit j of index idx is the value
+    # of the clique's j-th proposition.
+    spaces: list[tuple[int, tuple[str, ...], list[int]]] = []
     for ci, factor in enumerate(plan.factors):
         for clique in factor.cliques:
             names = tuple(n.name for n in clique)
-            configs = [tuple((idx >> j) & 1 for j in range(len(names)))
-                       for idx in range(1 << len(names))]
-            spaces.append((ci, names, configs))
+            spaces.append((ci, names, list(range(1 << len(names)))))
 
     errors: list[str] = []
     removed_counts = [0] * len(spaces)
@@ -241,14 +241,19 @@ def prune_hard_constraints(lcn: Lcn, plan: FactorizationPlan) -> PruneReport:
             )
             continue
         _, names, configs = spaces[home]
-        kept = [cfg for cfg in configs
-                if eval_formula(effective, dict(zip(names, cfg)))]
+        # LSB-first indices, so the MSB-first kernel gets the names reversed;
+        # propositions of the formula outside the clique are irrelevant.
+        mask = truth_mask(effective, names[::-1])
+        kept = [idx for idx in configs if mask >> idx & 1]
         removed_counts[home] += len(configs) - len(kept)
         spaces[home] = (spaces[home][0], names, kept)
 
     return PruneReport(
         cliques=tuple(
-            CliqueConfigurations(ci, names, tuple(configs), removed_counts[si])
+            CliqueConfigurations(
+                ci, names,
+                tuple(tuple((idx >> j) & 1 for j in range(len(names))) for idx in configs),
+                removed_counts[si])
             for si, (ci, names, configs) in enumerate(spaces)
         ),
         errors=tuple(errors),

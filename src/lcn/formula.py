@@ -7,6 +7,14 @@ equivalent; `canonical_key` computes a semantic fingerprint (the set of
 propositions the formula actually depends on plus its truth table) so that
 equivalent formulas can share identity wherever that matters.
 
+Truth tables are Python ints used as bitsets, all built by one kernel,
+`truth_mask`.  There is a single bit order: bit i is the i-th assignment
+in lexicographic order of value tuples, so the first proposition is the
+most significant position (MSB-first); canonical keys use it as is.  A
+table that wants the first proposition as the least significant bit
+(LSB-first, as `lcn.oracle` lays out joint tables) calls the kernel with
+the propositions reversed.
+
 Grammar::
 
     formula := or
@@ -24,7 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, MutableMapping, MutableSet, Union
+from typing import Mapping, MutableMapping, MutableSet, Union
 
 from .errors import ParseError, LcnError
 
@@ -320,22 +328,69 @@ def support(f: Formula) -> frozenset[str]:
     return frozenset(out)
 
 
-def _assignments(props: tuple[str, ...]) -> Iterator[dict[str, int]]:
-    """All assignments over `props` in lexicographic order of value tuples
-    (the first proposition is the most significant position)."""
+def _columns(props: tuple[str, ...]) -> tuple[dict[str, int], int]:
+    """Truth-table columns of `props` over 2^k assignments, MSB-first, plus
+    the all-ones mask.
+
+    The column of `props[j]` has bit i set iff bit k-1-j of i is set: runs
+    of 2^(k-1-j) zeros and ones, built by doubling one period.
+    """
     k = len(props)
-    for i in range(1 << k):
-        yield {p: (i >> (k - 1 - j)) & 1 for j, p in enumerate(props)}
+    size = 1 << k
+    columns: dict[str, int] = {}
+    for j, p in enumerate(props):
+        half = 1 << (k - 1 - j)
+        column = ((1 << half) - 1) << half
+        width = half << 1
+        while width < size:
+            column |= column << width
+            width <<= 1
+        columns[p] = column
+    return columns, (1 << size) - 1
 
 
-def _truth_mask(f: Formula, props: tuple[str, ...]) -> int:
-    """Bitmask of `f`'s truth table over `props`; bit i corresponds to the
-    i-th assignment in lexicographic order."""
-    mask = 0
-    for i, a in enumerate(_assignments(props)):
-        if eval_formula(f, a):
-            mask |= 1 << i
-    return mask
+def _eval_mask(f: Formula, columns: Mapping[str, int], full: int) -> int:
+    """Evaluate `f` over whole truth-table columns in one iterative
+    post-order pass; propositions without a column are held false."""
+    values: list[int] = []
+    stack: list[tuple[Formula, bool]] = [(f, False)]
+    while stack:
+        node, ready = stack.pop()
+        if isinstance(node, Prop):
+            values.append(columns.get(node.name, 0))
+        elif isinstance(node, Not):
+            if ready:
+                values.append(values.pop() ^ full)
+            else:
+                stack += ((node, True), (node.child, False))
+        elif isinstance(node, (And, Or)):
+            if ready:
+                right = values.pop()
+                left = values.pop()
+                values.append(left & right if isinstance(node, And) else left | right)
+            else:
+                stack += ((node, True), (node.right, False), (node.left, False))
+        elif isinstance(node, Top):
+            values.append(full)
+        elif isinstance(node, Bottom):
+            values.append(0)
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    return values[0]
+
+
+def truth_mask(f: Formula, props: tuple[str, ...]) -> int:
+    """Bitmask of `f`'s truth table over `props`: bit i is set iff `f` holds
+    under the i-th assignment in lexicographic order, `props[0]` being the
+    most significant position.  Propositions of `f` missing from `props`
+    are held false."""
+    return _eval_mask(f, *_columns(props))
+
+
+def _check_table_size(what: str, k: int) -> None:
+    if k > MAX_TABLE_PROPS:
+        raise LcnError(f"{what} of {k} propositions exceeds "
+                       f"the {MAX_TABLE_PROPS}-proposition truth-table cap")
 
 
 def semantically_equal(f: Formula, g: Formula) -> bool:
@@ -344,10 +399,9 @@ def semantically_equal(f: Formula, g: Formula) -> bool:
     Raises LcnError when the joint support exceeds the truth-table cap.
     """
     props = tuple(sorted(support(f) | support(g)))
-    if len(props) > MAX_TABLE_PROPS:
-        raise LcnError(f"joint support of {len(props)} propositions exceeds "
-                       f"the {MAX_TABLE_PROPS}-proposition truth-table cap")
-    return _truth_mask(f, props) == _truth_mask(g, props)
+    _check_table_size("joint support", len(props))
+    columns, full = _columns(props)
+    return _eval_mask(f, columns, full) == _eval_mask(g, columns, full)
 
 
 CanonicalKey = tuple[tuple[str, ...], int]
@@ -358,42 +412,29 @@ def canonical_key(f: Formula) -> CanonicalKey:
 
     `deps` is the sorted tuple of propositions `f` semantically depends on
     (syntactic support minus propositions whose value never matters) and
-    `mask` is the truth-table bitmask over `deps` in lexicographic
-    assignment order.  Two formulas are logically equivalent exactly when
-    their keys are equal.
+    `mask` is `truth_mask(f, deps)`.  Two formulas are logically equivalent
+    exactly when their keys are equal.  The key is stored on `f` after the
+    first call.
     """
+    try:
+        return f._canonical_key  # type: ignore[attr-defined]
+    except AttributeError:
+        pass
     props = tuple(sorted(support(f)))
-    if len(props) > MAX_TABLE_PROPS:
-        raise LcnError(f"support of {len(props)} propositions exceeds "
-                       f"the {MAX_TABLE_PROPS}-proposition truth-table cap")
+    _check_table_size("support", len(props))
     k = len(props)
-    table = [eval_formula(f, a) for a in _assignments(props)]
-
-    # A proposition is irrelevant when flipping it never changes the value.
-    deps: list[int] = []
-    for j in range(k):
-        flip = 1 << (k - 1 - j)  # distance between assignment indices differing in prop j
-        # Assignment index i has prop j set iff bit (k-1-j) of i is set;
-        # pair each i having the bit clear with i | flip.
-        relevant = any(
-            table[i] != table[i | flip]
-            for i in range(1 << k)
-            if not (i & flip)
-        )
-        if relevant:
-            deps.append(j)
-
-    dep_props = tuple(props[j] for j in deps)
-    m = len(dep_props)
-    mask = 0
-    base = {p: 0 for p in props}
-    for i in range(1 << m):
-        a = dict(base)
-        for jj, p in enumerate(dep_props):
-            a[p] = (i >> (m - 1 - jj)) & 1
-        if eval_formula(f, a):
-            mask |= 1 << i
-    return (dep_props, mask)
+    columns, full = _columns(props)
+    mask = _eval_mask(f, columns, full)
+    # Prop j is irrelevant when the table equals itself with prop j flipped:
+    # comparing each assignment with prop j clear against its partner
+    # 2^(k-1-j) positions up.
+    deps = tuple(p for j, p in enumerate(props)
+                 if ((mask >> (1 << (k - 1 - j))) ^ mask) & (full ^ columns[p]))
+    if len(deps) < k:
+        mask = truth_mask(f, deps)
+    key = (deps, mask)
+    object.__setattr__(f, "_canonical_key", key)
+    return key
 
 
 PROP_IDENTITY_MASK = 0b10  # key mask of a formula equivalent to a bare proposition

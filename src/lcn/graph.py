@@ -17,6 +17,7 @@ also hold formula nodes or the super-nodes produced by cycle condensation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Callable, Iterable, Iterator, Mapping
 
 import networkx as nx
@@ -49,26 +50,28 @@ class Node:
             raise GraphError("formula nodes need a canonical key")
         if self.kind == "super" and not self.members:
             raise GraphError("super-nodes need a nonempty member set")
-
-    @property
-    def ident(self) -> tuple:
+        # Identity, order and hash are fixed at construction and computed once.
+        sort_key = (_KIND_RANK[self.kind], self.name)
         if self.kind == "prop":
-            return ("prop", self.name)
-        if self.kind == "formula":
-            return ("formula", self.key)
-        return ("super", tuple(sorted(self.members)))  # type: ignore[arg-type]
-
-    @property
-    def sort_key(self) -> tuple[int, str]:
-        if self.kind == "formula":
-            return (_KIND_RANK[self.kind], repr(self.key))
-        return (_KIND_RANK[self.kind], self.name)
+            ident: tuple = ("prop", self.name)
+        elif self.kind == "formula":
+            ident = ("formula", self.key)
+            # The text of repr(self.key), with the mask printed through
+            # Decimal: repr() of a wide truth table exceeds Python's
+            # int-to-str digit limit.
+            deps, mask = self.key  # type: ignore[misc]
+            sort_key = (_KIND_RANK["formula"], f"({deps!r}, {Decimal(mask)})")
+        else:
+            ident = ("super", tuple(sorted(self.members)))  # type: ignore[arg-type]
+        object.__setattr__(self, "ident", ident)
+        object.__setattr__(self, "sort_key", sort_key)
+        object.__setattr__(self, "_hash", hash(ident))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Node) and self.ident == other.ident
 
     def __hash__(self) -> int:
-        return hash(self.ident)
+        return self._hash
 
     def __lt__(self, other: "Node") -> bool:
         return self.sort_key < other.sort_key

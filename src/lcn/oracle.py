@@ -13,13 +13,15 @@ i — the first proposition is the least significant bit.  The JSON form is
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import compress
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GraphError, ModelError
 from .factorize import FactorizationPlan
-from .formula import Formula, eval_formula, support
+from .formula import And, Formula, support, truth_mask
 from .graph import MixedGraph
 from .markov import IndependenceStatement
 from .model import Constraint, Lcn, format_constraint
@@ -57,6 +59,8 @@ class JointTable:
             )
         if any(p < 0 for p in self.probs):
             raise ModelError("probabilities must be nonnegative")
+        if not all(math.isfinite(p) for p in self.probs):
+            raise ModelError("probabilities must be finite numbers")
         if abs(sum(self.probs) - 1.0) > _NORMALIZATION_TOL:
             raise ModelError(f"probabilities sum to {sum(self.probs)!r}, not 1")
 
@@ -83,27 +87,31 @@ def _check_support(table: JointTable, f: Formula) -> None:
                          f"{', '.join(sorted(unknown))}")
 
 
+def _selected(table: JointTable, f: Formula) -> Iterator[float]:
+    """The probabilities of the rows satisfying `f`, in ascending index
+    order.  The kernel is MSB-first, so it gets the propositions reversed
+    to match the table's LSB-first layout."""
+    _check_support(table, f)
+    rows = bin(truth_mask(f, table.props[::-1]))[:1:-1]  # bit i at position i
+    return compress(table.probs, map("1".__eq__, rows))
+
+
 def prob(table: JointTable, f: Formula) -> float:
     """Total mass of the assignments satisfying `f`."""
-    _check_support(table, f)
-    return sum(p for i, p in enumerate(table.probs)
-               if eval_formula(f, table.assignment(i)))
+    return sum(_selected(table, f))
 
 
 def cond_prob(table: JointTable, phi: Formula, psi: Formula) -> float | None:
     """P(phi | psi), or None when P(psi) = 0."""
     _check_support(table, phi)
-    _check_support(table, psi)
-    joint = 0.0
     margin = 0.0
-    for i, p in enumerate(table.probs):
-        a = table.assignment(i)
-        if eval_formula(psi, a):
-            margin += p
-            if eval_formula(phi, a):
-                joint += p
+    for p in _selected(table, psi):
+        margin += p
     if margin == 0.0:
         return None
+    joint = 0.0
+    for p in _selected(table, And(psi, phi)):
+        joint += p
     return joint / margin
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 from lcn.factorize import FactorizationPlan
 from lcn.formula import (
     And,
+    BOTTOM,
     BOTTOM_KEY,
     Not,
     Or,
@@ -23,6 +24,7 @@ from lcn.formula import (
     TOP,
     TOP_KEY,
     canonical_key,
+    eval_formula,
     key_as_single_prop,
     support,
 )
@@ -289,6 +291,22 @@ def random_chain_lcn(rng: random.Random, max_props: int = 6,
     return make_lcn(constraints, props)
 
 
+def st_formulas(names: list[str], max_leaves: int):
+    """Hypothesis strategy: formulas over `names` with `true`/`false`
+    leaves, repeats allowed."""
+    from hypothesis import strategies as st
+
+    return st.recursive(
+        st.one_of(st.sampled_from(names).map(Prop), st.just(TOP), st.just(BOTTOM)),
+        lambda kids: st.one_of(
+            kids.map(Not),
+            st.tuples(kids, kids).map(lambda t: And(*t)),
+            st.tuples(kids, kids).map(lambda t: Or(*t)),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
 def st_random_lcn():
     """Hypothesis strategy: a seeded random collision-free model."""
     from hypothesis import strategies as st
@@ -460,3 +478,40 @@ def dag_mirror_table(g: MixedGraph, plan: FactorizationPlan,
         probs.append(p)
     total = sum(probs)
     return JointTable(tuple(names), tuple(q / total for q in probs))
+
+
+# ---------------------------------------------------------------------------
+# Per-assignment truth tables: references for the bit-parallel kernel
+
+def _assignments(props: tuple[str, ...]):
+    """All assignments over `props` in lexicographic order of value tuples
+    (the first proposition is the most significant position)."""
+    k = len(props)
+    for i in range(1 << k):
+        yield {p: (i >> (k - 1 - j)) & 1 for j, p in enumerate(props)}
+
+
+def truth_mask_ref(f, props: tuple[str, ...]) -> int:
+    """Reference `truth_mask`: one `eval_formula` call per assignment, with
+    the propositions of `f` outside `props` held false."""
+    base = dict.fromkeys(support(f), 0)
+    mask = 0
+    for i, a in enumerate(_assignments(props)):
+        if eval_formula(f, {**base, **a}):
+            mask |= 1 << i
+    return mask
+
+
+def canonical_key_ref(f):
+    """Reference `canonical_key`: a proposition is relevant when flipping
+    it changes the value under some assignment, checked row by row."""
+    props = tuple(sorted(support(f)))
+    k = len(props)
+    table = [eval_formula(f, a) for a in _assignments(props)]
+    deps = []
+    for j in range(k):
+        flip = 1 << (k - 1 - j)  # distance between rows differing in prop j
+        if any(table[i] != table[i | flip] for i in range(1 << k) if not i & flip):
+            deps.append(props[j])
+    deps = tuple(deps)
+    return (deps, truth_mask_ref(f, deps))

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -250,3 +251,28 @@ def test_lcn_parents_equal_structure_boundary(seed):
     s = structure(lcn)
     for p in lcn.props:
         assert lcn_parents(dep, p) == s.boundary(p)
+
+
+WIDE_MODEL = ("U: 0.1 <= P(" + " | ".join(f"X{i}" for i in range(14)) + ") <= 0.9\n"
+              "D: 0.2 <= P(X0 & X1) <= 0.5\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit limit")
+def test_wide_formula_builds_under_the_default_int_str_limit():
+    # A support-14 formula has a 2^14-bit truth table, about 4,900 decimal
+    # digits: past Python's default int-to-str limit of 4,300.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        g = dependency_graph(parse_lcn(WIDE_MODEL))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    formulas = [n for n in g.nodes if n.kind == "formula"]
+    assert len(formulas) == 2
+    sys.set_int_max_str_digits(0)
+    try:
+        # node order is still that of repr(key)
+        assert all(n.sort_key == (2, repr(n.key)) for n in formulas)
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -1,10 +1,14 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import helpers
+import lcn
 from lcn.cli import main
 
 QUAD_MIXED = str(helpers.FIXTURES / "quad_mixed.lcn")
@@ -55,6 +59,15 @@ def test_missing_file_reported_as_error(capsys):
     assert "error: cannot read" in capsys.readouterr().err
 
 
+def test_non_utf8_model_reported_as_error(tmp_path, capsys):
+    path = tmp_path / "latin1.lcn"
+    path.write_bytes("U: 0.1 <= P(caf\u00e9) <= 0.9\n".encode("latin-1"))
+    assert main(["parse", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # graph
 
@@ -86,6 +99,18 @@ def test_graph_syntactic_flag_splits_equivalent_formulas(tmp_path, capsys):
     split = json.loads(capsys.readouterr().out)
     assert len(merged["nodes"]) == 3  # a, b, one shared formula node
     assert len(split["nodes"]) == 4
+
+
+def test_graph_of_wide_formula_under_the_default_int_str_limit(tmp_path):
+    model = write(tmp_path, "wide.lcn",
+                  "U: 0.1 <= P(" + " | ".join(f"X{i}" for i in range(14)) + ") <= 0.9\n")
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="4300",
+               PYTHONPATH=str(Path(lcn.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "lcn", "graph", model, "--kind", "dependency"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "X0 | X1 |" in proc.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +294,22 @@ def test_check_dist_bad_table_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_check_dist_rejects_nan_probabilities(tmp_path, capsys):
+    table = write(tmp_path, "t.json", '{"props": ["A"], "probs": [NaN, 1.0]}')
+    model = write(tmp_path, "m.lcn", "U: 0.5 <= P(A) <= 0.7\n")
+    assert main(["check-dist", table, model]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1e-9", "x"])
+def test_check_dist_bad_tolerance_is_usage_error(tmp_path, tol):
+    table = write(tmp_path, "t.json", json.dumps({"props": ["A"], "probs": [0.4, 0.6]}))
+    model = write(tmp_path, "m.lcn", "U: 0.5 <= P(A) <= 0.7\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["check-dist", table, model, "--tol", tol])
+    assert exc.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -277,6 +318,14 @@ def test_verify_passes_on_chain_model(capsys):
     out = capsys.readouterr().out
     assert "3 sample(s), 3 statement(s) each" in out
     assert out.splitlines()[-1] == "ok"
+
+
+@pytest.mark.parametrize("option", [["--samples", "0"], ["--samples", "-3"],
+                                    ["--tol", "nan"], ["--tol", "-1"]])
+def test_verify_vacuous_or_nan_options_are_usage_errors(option):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", QUAD_MIXED] + option)
+    assert exc.value.code == 2
 
 
 def test_verify_rejects_cyclic_structure(capsys):

@@ -16,7 +16,8 @@ from lcn.factorize import (
     prune_hard_constraints,
 )
 from lcn.graph import MixedGraph
-from lcn.model import parse_lcn
+from lcn.formula import Not, Or, canonical_key, eval_formula, support
+from lcn.model import Constraint, make_lcn, parse_lcn
 
 
 def comp_names(components):
@@ -301,3 +302,47 @@ def test_prune_soft_and_upper_zero_bounds_untouched():
     report = prune_hard_constraints(lcn, factorization_plan(structure(lcn)))
     assert report.errors == ()
     assert all(c.removed == 0 for c in report.cliques)
+
+
+def test_prune_ignores_propositions_outside_the_clique_that_do_not_matter():
+    # C appears in the formula but never changes its value; the home clique
+    # {A,B} does not hold it.
+    lcn = parse_lcn("D: P(A | (C & !C) given B) = 1\n")
+    report = prune_hard_constraints(lcn, factorization_plan(structure(lcn)))
+    assert report.errors == ()
+    by_clique = {c.clique: c for c in report.cliques}
+    # Only B=1, A=0 violates B -> A.
+    assert by_clique[("A", "B")].configurations == ((0, 0), (1, 0), (1, 1))
+    assert by_clique[("A", "B")].removed == 1
+
+
+def prune_ref(lcn, plan):
+    """Surviving configurations per plan clique, by evaluating each hard
+    constraint's implication form on every configuration of its home
+    clique (the first one holding the propositions it depends on)."""
+    spaces = [[tuple(n.name for n in clique),
+               [tuple((i >> j) & 1 for j in range(len(clique))) for i in range(1 << len(clique))]]
+              for factor in plan.factors for clique in factor.cliques]
+    for c in lcn.constraints:
+        if c.lo != 1.0:
+            continue
+        effective = Or(Not(c.psi), c.phi)
+        deps = set(canonical_key(effective)[0])
+        home = next((space for space in spaces if deps <= set(space[0])), None)
+        if home is not None and deps:
+            off = dict.fromkeys(support(effective), 0)
+            home[1] = [cfg for cfg in home[1]
+                       if eval_formula(effective, {**off, **dict(zip(home[0], cfg))})]
+    return [(names, tuple(configs)) for names, configs in spaces]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_prune_matches_per_configuration_reference(seed):
+    rng = random.Random(seed)
+    lcn = helpers.random_chain_lcn(rng)
+    lcn = make_lcn([Constraint(1.0, 1.0, c.phi, c.psi, c.group) if rng.random() < 0.6 else c
+                    for c in lcn.constraints], lcn.props)
+    plan = factorization_plan(structure(lcn))
+    report = prune_hard_constraints(lcn, plan)
+    assert [(c.clique, c.configurations) for c in report.cliques] == prune_ref(lcn, plan)

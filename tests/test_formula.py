@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lcn.formula
+from helpers import canonical_key_ref, st_formulas, truth_mask_ref
 from lcn.errors import LcnError, ParseError
 from lcn.formula import (
     And,
@@ -19,6 +21,7 @@ from lcn.formula import (
     parse_formula,
     semantically_equal,
     support,
+    truth_mask,
 )
 
 A, B, C = Prop("A"), Prop("B"), Prop("C")
@@ -181,16 +184,7 @@ def test_truth_table_cap():
 # ---------------------------------------------------------------------------
 # Property tests
 
-names = st.sampled_from(["A", "B", "C", "Q1", "x_y"])
-formulas = st.recursive(
-    st.one_of(names.map(Prop), st.just(TOP), st.just(BOTTOM)),
-    lambda kids: st.one_of(
-        kids.map(Not),
-        st.tuples(kids, kids).map(lambda t: And(*t)),
-        st.tuples(kids, kids).map(lambda t: Or(*t)),
-    ),
-    max_leaves=12,
-)
+formulas = st_formulas(["A", "B", "C", "Q1", "x_y"], max_leaves=12)
 
 
 @settings(max_examples=150, deadline=None)
@@ -215,3 +209,60 @@ def test_key_depends_only_on_relevant_props(f):
     assert set(deps) <= support(f)
     padded = And(f, Or(Prop("ZPAD"), Not(Prop("ZPAD"))))
     assert canonical_key(padded) == canonical_key(f)
+
+
+# ---------------------------------------------------------------------------
+# Bit-parallel truth-table kernel against the per-assignment references
+
+def test_truth_mask_golden_bit_order():
+    # MSB-first: rows 00, 01, 10, 11 over (A, B).
+    assert truth_mask(A, ("A", "B")) == 0b1100
+    assert truth_mask(B, ("A", "B")) == 0b1010
+    assert truth_mask(A, ("B", "A")) == 0b1010
+    assert truth_mask(Not(A), ("A",)) == 0b01
+    assert truth_mask(TOP, ()) == 1
+    assert truth_mask(BOTTOM, ("A", "B")) == 0
+    # propositions outside `props` are held false
+    assert truth_mask(Or(A, C), ("A",)) == 0b10
+
+
+WIDE_NAMES = [f"P{i}" for i in range(10)]
+wide_names = st.sampled_from(WIDE_NAMES)
+wide_formulas = st_formulas(WIDE_NAMES, max_leaves=24)
+
+
+@st.composite
+def kernel_formulas(draw):
+    """Formulas over up to 10 propositions, with repeats, literals and,
+    half of the time, an extra proposition that does not matter."""
+    f = draw(wide_formulas)
+    if draw(st.booleans()):
+        pad = Prop(draw(wide_names))
+        f = Or(f, And(pad, Not(pad))) if draw(st.booleans()) else And(Or(pad, Not(pad)), f)
+    return f
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_formulas())
+def test_canonical_key_matches_reference(f):
+    assert canonical_key(f) == canonical_key_ref(f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_formulas(), st.lists(wide_names, max_size=10, unique=True))
+def test_truth_mask_matches_reference_in_both_orders(f, extra):
+    props = tuple(sorted(support(f) | set(extra)))
+    assert truth_mask(f, props) == truth_mask_ref(f, props)
+    assert truth_mask(f, props[::-1]) == truth_mask_ref(f, props[::-1])
+
+
+def test_canonical_key_is_stored_on_the_formula(monkeypatch):
+    f = Or(And(A, B), And(Not(C), B))
+    key = canonical_key(f)
+
+    def fail(*_args):
+        raise AssertionError("canonical_key re-evaluated a formula it has seen")
+
+    monkeypatch.setattr(lcn.formula, "_eval_mask", fail)
+    assert canonical_key(f) is key
+    assert f == Or(And(A, B), And(Not(C), B))  # the stored key is not a field

@@ -10,7 +10,7 @@ from helpers import stmt
 from lcn.build import dependency_graph, structure
 from lcn.errors import GraphError, ModelError
 from lcn.factorize import factorization_plan
-from lcn.formula import parse_formula
+from lcn.formula import eval_formula, parse_formula
 from lcn.graph import MixedGraph
 from lcn.markov import LMC_C, LMC_CSTR, local_statements
 from lcn.model import Constraint, parse_lcn
@@ -72,6 +72,15 @@ def test_table_validation():
                    (0.0,) * (1 << (MAX_TABLE_PROPS + 1)))
 
 
+def test_table_rejects_nan_and_inf():
+    with pytest.raises(ModelError, match="finite"):
+        JointTable(("A",), (float("nan"), 1.0))
+    with pytest.raises(ModelError, match="finite"):
+        JointTable(("A",), (float("inf"), 0.0))
+    with pytest.raises(ModelError, match="finite"):
+        table_from_json_dict({"props": ["A"], "probs": ["NaN", 1.0]})
+
+
 def test_table_normalization_tolerance():
     JointTable(("A",), (0.5, 0.5 + 1e-13))  # inside the tolerance
     with pytest.raises(ModelError, match="not 1"):
@@ -98,6 +107,41 @@ def test_prob_rejects_unknown_props():
         prob(TABLE, parse_formula("A & C"))
     with pytest.raises(ModelError, match="outside the table"):
         cond_prob(TABLE, parse_formula("A"), parse_formula("Z"))
+
+
+def prob_ref(table, f):
+    """P(f) as the per-row sum of the rows satisfying `f`, in ascending
+    index order."""
+    return sum(p for i, p in enumerate(table.probs)
+               if eval_formula(f, table.assignment(i)))
+
+
+def cond_prob_ref(table, phi, psi):
+    joint = margin = 0.0
+    for i, p in enumerate(table.probs):
+        a = table.assignment(i)
+        if eval_formula(psi, a):
+            margin += p
+            if eval_formula(phi, a):
+                joint += p
+    return None if margin == 0.0 else joint / margin
+
+
+table_formulas = helpers.st_formulas([f"T{i}" for i in range(6)], max_leaves=10)
+
+
+@settings(max_examples=120, deadline=None)
+@given(table_formulas, table_formulas, st.integers(0, 10**6), st.booleans())
+def test_prob_and_cond_prob_are_bit_identical_to_per_row_sums(phi, psi, seed, sparse):
+    table = sample_positive_table([f"T{i}" for i in range(6)], seed)
+    if sparse:  # zero rows make P(psi) = 0 reachable
+        rng = random.Random(seed)
+        kept = [p if rng.random() < 0.3 else 0.0 for p in table.probs]
+        total = sum(kept)
+        if total > 0.0:
+            table = JointTable(table.props, tuple(p / total for p in kept))
+    assert prob(table, phi) == prob_ref(table, phi)
+    assert cond_prob(table, phi, psi) == cond_prob_ref(table, phi, psi)
 
 
 # ---------------------------------------------------------------------------
