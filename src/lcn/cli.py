@@ -283,14 +283,22 @@ def _cmd_condense(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # Argument plumbing
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, lo: int, what: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        value = lo - 1
+    if value < lo:
+        raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "positive")
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0, "nonnegative")
 
 
 def _tolerance(text: str) -> float:
@@ -332,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("indep", help="list independence statements")
     p.add_argument("model")
     _add_condition_options(p)
-    p.add_argument("--max-x", type=int, default=2)
-    p.add_argument("--max-z", type=int, default=3)
+    p.add_argument("--max-x", type=_positive_int, default=2)
+    p.add_argument("--max-z", type=_nonnegative_int, default=3)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_indep)
 
@@ -342,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model_b")
     _add_condition_options(p, "-a")
     _add_condition_options(p, "-b")
-    p.add_argument("--max-x", type=int, default=2)
-    p.add_argument("--max-z", type=int, default=3)
+    p.add_argument("--max-x", type=_positive_int, default=2)
+    p.add_argument("--max-z", type=_nonnegative_int, default=3)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_compare)
 

@@ -19,8 +19,6 @@ import heapq
 from dataclasses import dataclass
 from itertools import combinations
 
-import networkx as nx
-
 from .errors import GraphError
 from .formula import (
     BOTTOM_KEY,
@@ -108,11 +106,8 @@ def factorization_plan(g: MixedGraph) -> FactorizationPlan:
             undirected.add(_undirected_key(a, b))
         component_graph = MixedGraph(keep, (), undirected)
 
-        skeleton = nx.Graph()
-        skeleton.add_nodes_from(component_graph.nodes)
-        skeleton.add_edges_from(component_graph.undirected)
         cliques = tuple(sorted(
-            tuple(sorted(clique)) for clique in nx.find_cliques(skeleton)
+            tuple(sorted(clique)) for clique in _maximal_cliques(component_graph)
         ))
 
         names = ",".join(n.name for n in sorted(comp))
@@ -128,6 +123,26 @@ def factorization_plan(g: MixedGraph) -> FactorizationPlan:
             expression=expression,
         ))
     return FactorizationPlan(tuple(factors))
+
+
+def _maximal_cliques(g: MixedGraph) -> list[list[Node]]:
+    """Maximal cliques of an undirected graph: Bron–Kerbosch with Tomita
+    pivoting, on an explicit stack of (clique, candidates, excluded)."""
+    adjacent = {n: g.neighbors(n) for n in g.nodes}
+    cliques: list[list[Node]] = []
+    stack = [([], set(g.nodes), set())]
+    while stack:
+        clique, candidates, excluded = stack.pop()
+        if not candidates:
+            if not excluded:
+                cliques.append(clique)
+            continue
+        pivot = max(candidates | excluded, key=lambda u: len(candidates & adjacent[u]))
+        for v in candidates - adjacent[pivot]:
+            stack.append((clique + [v], candidates & adjacent[v], excluded & adjacent[v]))
+            candidates.remove(v)
+            excluded.add(v)
+    return cliques
 
 
 # ---------------------------------------------------------------------------
@@ -146,24 +161,14 @@ def condense_cycles(g: MixedGraph) -> tuple[MixedGraph, dict[Node, Node]]:
     quotient cycle would lift to a closed mixed walk through a directed
     edge whose endpoints would then share a contracted component.
     """
-    step = g._step_digraph()
-    scc_of: dict[Node, int] = {}
-    members: dict[int, set[Node]] = {}
-    for i, comp in enumerate(nx.strongly_connected_components(step)):
-        members[i] = set(comp)
-        for n in comp:
-            scc_of[n] = i
-    cyclic = {scc_of[a] for a, b in g.directed if scc_of[a] == scc_of[b]}
-
-    mapping: dict[Node, Node] = {}
-    for i, comp in members.items():
-        if i in cyclic:
-            merged = super_node(n.name for n in comp)
-            for n in comp:
-                mapping[n] = merged
-        else:
-            for n in comp:
-                mapping[n] = n
+    root = g._step_components()
+    cyclic = {root[a] for a, b in g.directed if root[a] == root[b]}
+    members: dict[Node, list[str]] = {}
+    for n, r in root.items():
+        if r in cyclic:
+            members.setdefault(r, []).append(n.name)
+    merged = {r: super_node(names) for r, names in members.items()}
+    mapping = {n: merged.get(r, n) for n, r in root.items()}
 
     directed = {(mapping[a], mapping[b]) for a, b in g.directed
                 if mapping[a] != mapping[b]}

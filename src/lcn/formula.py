@@ -312,20 +312,25 @@ def eval_formula(f: Formula, assignment: Mapping[str, int]) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def support(f: Formula) -> frozenset[str]:
-    """The set of proposition names occurring syntactically in `f`."""
-    out: set[str] = set()
+def support_in_order(f: Formula) -> list[str]:
+    """Proposition names of `f` in left-to-right syntactic order, first
+    occurrence only."""
+    seen: dict[str, None] = {}
     stack = [f]
     while stack:
         node = stack.pop()
         if isinstance(node, Prop):
-            out.add(node.name)
+            seen.setdefault(node.name)
         elif isinstance(node, Not):
             stack.append(node.child)
         elif isinstance(node, (And, Or)):
-            stack.append(node.left)
-            stack.append(node.right)
-    return frozenset(out)
+            stack += (node.right, node.left)
+    return list(seen)
+
+
+def support(f: Formula) -> frozenset[str]:
+    """The set of proposition names occurring syntactically in `f`."""
+    return frozenset(support_in_order(f))
 
 
 def _columns(props: tuple[str, ...]) -> tuple[dict[str, int], int]:

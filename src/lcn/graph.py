@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Callable, Iterable, Iterator, Mapping
 
-import networkx as nx
-
 from .errors import GraphError
 from .formula import CanonicalKey, Formula, canonical_key, format_formula
 
@@ -257,15 +255,40 @@ class MixedGraph:
             components.append(frozenset(comp))
         return tuple(components)
 
-    def _step_digraph(self) -> "nx.DiGraph":
-        """Directed view of the step relation: undirected edges both ways."""
-        d = nx.DiGraph()
-        d.add_nodes_from(self.nodes)
-        d.add_edges_from(self.directed)
-        for a, b in self.undirected:
-            d.add_edge(a, b)
-            d.add_edge(b, a)
-        return d
+    def _step_components(self) -> dict[Node, Node]:
+        """Strongly connected components of the step relation (directed
+        edges forward, undirected edges both ways) as a map from each node
+        to its component's root; Kosaraju's two passes, iteratively."""
+        order: list[Node] = []
+        seen: set[Node] = set()
+        for start in self.nodes:
+            if start in seen:
+                continue
+            seen.add(start)
+            stack = [(start, self._steps(start))]
+            while stack:
+                node, steps = stack[-1]
+                for v, _ in steps:
+                    if v not in seen:
+                        seen.add(v)
+                        stack.append((v, self._steps(v)))
+                        break
+                else:
+                    stack.pop()
+                    order.append(node)
+        root: dict[Node, Node] = {}
+        for start in reversed(order):
+            if start in root:
+                continue
+            root[start] = start
+            frontier = [start]
+            while frontier:
+                node = frontier.pop()
+                for v in self._parents[node] + self._neighbors[node]:
+                    if v not in root:
+                        root[v] = start
+                        frontier.append(v)
+        return root
 
     def has_directed_cycle(self) -> bool:
         """Whether some cycle traverses at least one directed edge.
@@ -276,11 +299,8 @@ class MixedGraph:
         edge has both endpoints in one strongly connected component of the
         step relation.
         """
-        scc_index: dict[Node, int] = {}
-        for i, comp in enumerate(nx.strongly_connected_components(self._step_digraph())):
-            for n in comp:
-                scc_index[n] = i
-        return any(scc_index[a] == scc_index[b] for a, b in self.directed)
+        root = self._step_components()
+        return any(root[a] == root[b] for a, b in self.directed)
 
     def is_chain_graph(self) -> bool:
         return not self.has_directed_cycle()

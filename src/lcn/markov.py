@@ -149,6 +149,9 @@ def enumerate_gmc(g: MixedGraph,
     Cost grows steeply with the node count and the guard caps it at
     MAX_ENUMERATION_NODES.
     """
+    if max_x < 1 or (max_y is not None and max_y < 1) or max_z < 0:
+        raise GraphError("enumeration bounds must satisfy max_x >= 1, max_y >= 1 "
+                         f"and max_z >= 0, got {max_x}, {max_y}, {max_z}")
     _require_variable_graph(g, GMC_C)
     variables = _variables(g)
     n = len(variables)

@@ -27,13 +27,10 @@ from .formula import (
     TOP,
     TOP_KEY,
     Formula,
-    Prop,
-    Not,
-    And,
-    Or,
     TokenStream,
     canonical_key,
     format_formula,
+    support_in_order,
     tokenize,
     _parse_or,
 )
@@ -88,30 +85,13 @@ class Lcn:
             raise ModelError("duplicate proposition declaration")
         known = set(self.props)
         for c in self.constraints:
-            missing = (_support_ordered(c.phi) + _support_ordered(c.psi))
+            missing = (support_in_order(c.phi) + support_in_order(c.psi))
             for name in missing:
                 if name not in known:
                     raise ModelError(
                         f"constraint {format_constraint(c)!r} uses undeclared "
                         f"proposition {name!r}"
                     )
-
-
-def _support_ordered(f: Formula) -> list[str]:
-    """Proposition names in left-to-right syntactic order, first occurrence only."""
-    seen: dict[str, None] = {}
-
-    def walk(node: Formula) -> None:
-        if isinstance(node, Prop):
-            seen.setdefault(node.name)
-        elif isinstance(node, Not):
-            walk(node.child)
-        elif isinstance(node, (And, Or)):
-            walk(node.left)
-            walk(node.right)
-
-    walk(f)
-    return list(seen)
 
 
 def make_lcn(constraints: Iterable[Constraint], props: Iterable[str] | None = None) -> Lcn:
@@ -125,7 +105,7 @@ def make_lcn(constraints: Iterable[Constraint], props: Iterable[str] | None = No
         return Lcn(tuple(props), constraints)
     order: dict[str, None] = {}
     for c in constraints:
-        for name in _support_ordered(c.phi) + _support_ordered(c.psi):
+        for name in support_in_order(c.phi) + support_in_order(c.psi):
             order.setdefault(name)
     return Lcn(tuple(order), constraints)
 

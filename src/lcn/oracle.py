@@ -38,6 +38,11 @@ WEIGHT_FLOOR = 1e-3
 _NORMALIZATION_TOL = 1e-12
 
 
+def _check_table_size(n: int, what: str = "propositions") -> None:
+    if n > MAX_TABLE_PROPS:
+        raise ModelError(f"{n} {what} exceed the {MAX_TABLE_PROPS}-proposition table limit")
+
+
 @dataclass(frozen=True)
 class JointTable:
     """An explicit joint distribution over binary propositions."""
@@ -46,11 +51,7 @@ class JointTable:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.props) > MAX_TABLE_PROPS:
-            raise ModelError(
-                f"{len(self.props)} propositions exceed the "
-                f"{MAX_TABLE_PROPS}-proposition table limit"
-            )
+        _check_table_size(len(self.props))
         if len(set(self.props)) != len(self.props):
             raise ModelError("table propositions must be distinct")
         if len(self.probs) != 1 << len(self.props):
@@ -218,11 +219,7 @@ def sample_positive_table(props: Sequence[str], seed: int) -> JointTable:
     """Strictly positive random table: independent weights from
     [WEIGHT_FLOOR, 1], normalized.  Deterministic per seed."""
     props = tuple(props)
-    if len(props) > MAX_TABLE_PROPS:
-        raise ModelError(
-            f"{len(props)} propositions exceed the "
-            f"{MAX_TABLE_PROPS}-proposition table limit"
-        )
+    _check_table_size(len(props))
     rng = random.Random(seed)
     weights = [rng.uniform(WEIGHT_FLOOR, 1.0) for _ in range(1 << len(props))]
     total = sum(weights)
@@ -243,11 +240,7 @@ def sample_chain_factorized(g: MixedGraph, plan: FactorizationPlan,
     if any(n.kind == "formula" for n in g.nodes):
         raise GraphError("factorized sampling is defined over variable nodes only")
     names = [n.name for n in g.nodes]
-    if len(names) > MAX_TABLE_PROPS:
-        raise ModelError(
-            f"{len(names)} variables exceed the "
-            f"{MAX_TABLE_PROPS}-proposition table limit"
-        )
+    _check_table_size(len(names), "variables")
     rng = random.Random(seed)
 
     factor_parts = []

@@ -113,6 +113,15 @@ def test_graph_of_wide_formula_under_the_default_int_str_limit(tmp_path):
     assert "X0 | X1 |" in proc.stdout
 
 
+def test_import_leaves_networkx_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(lcn.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, lcn; print('networkx' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 # ---------------------------------------------------------------------------
 # indep
 
@@ -150,6 +159,17 @@ def test_indep_condition_graph_defaults(capsys):
 def test_indep_empty_output_for_cycle(capsys):
     assert main(["indep", CYCLE6, "--condition", "lmc-lcn"]) == 0
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", [["indep", QUAD_MIXED, "--condition", "gmc-c"],
+                                     ["compare", QUAD_MIXED, QUAD_MIXED,
+                                      "--condition-a", "gmc-c", "--condition-b", "lmc-c"]])
+@pytest.mark.parametrize("option", [["--max-x", "0"], ["--max-x", "-1"],
+                                    ["--max-z", "-3"], ["--max-z", "x"]])
+def test_vacuous_gmc_bounds_are_usage_errors(command, option):
+    with pytest.raises(SystemExit) as exc:
+        main(command + option)
+    assert exc.value.code == 2
 
 
 def test_indep_graph_override(capsys):

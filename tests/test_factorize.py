@@ -15,7 +15,7 @@ from lcn.factorize import (
     factorization_plan,
     prune_hard_constraints,
 )
-from lcn.graph import MixedGraph
+from lcn.graph import MixedGraph, prop_node
 from lcn.formula import Not, Or, canonical_key, eval_formula, support
 from lcn.model import Constraint, make_lcn, parse_lcn
 
@@ -136,10 +136,11 @@ def test_plan_rejects_directed_cycles():
 @given(st.integers(0, 10**6))
 def test_plan_cliques_match_bruteforce(seed):
     rng = random.Random(seed)
-    g = helpers.random_chain_graph(rng, rng.randint(2, 7))
-    for factor in factorization_plan(g).factors:
-        got = {frozenset(names) for names in clique_names(factor)}
-        assert got == helpers.brute_force_cliques(factor.graph)
+    for g in (helpers.random_chain_graph(rng, rng.randint(2, 7)),
+              helpers.random_undirected_graph(rng, rng.randint(2, 9))):
+        for factor in factorization_plan(g).factors:
+            got = {frozenset(names) for names in clique_names(factor)}
+            assert got == helpers.brute_force_cliques(factor.graph)
 
 
 @settings(max_examples=50, deadline=None)
@@ -222,6 +223,33 @@ def test_condense_yields_chain_graph(seed):
             }
         else:
             assert mapping[node] == node
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6))
+def test_condense_merges_exactly_the_cyclic_step_classes(seed):
+    rng = random.Random(seed)
+    g = helpers.random_mixed_graph(rng, rng.randint(2, 10))
+    # An extra bi-directed pair, so that merging across classes shows
+    # whenever the random part has a directed cycle too.
+    y0, y1 = prop_node("Y0"), prop_node("Y1")
+    g = MixedGraph(g.nodes + (y0, y1),
+                   g.directed | {(y0, y1), (y1, y0), (g.nodes[0], y0)}, g.undirected)
+    _, mapping = condense_cycles(g)
+    reach = {n: helpers.step_reach(g, n) | {n} for n in g.nodes}
+    classes = {frozenset(m for m in g.nodes if m in reach[n] and n in reach[m])
+               for n in g.nodes}
+    expected = {frozenset(n.name for n in c) for c in classes
+                if any(a in c and b in c for a, b in g.directed)}
+    assert {n.members for n in mapping.values() if n.kind == "super"} == expected
+
+
+def test_condense_long_mixed_cycle_under_the_default_recursion_limit():
+    names = [f"X{i}" for i in range(5000)]
+    g = MixedGraph.from_props(names, [(names[-1], names[0])], list(zip(names, names[1:])))
+    assert g.has_directed_cycle()
+    condensed, _ = condense_cycles(g)
+    assert [n.members for n in condensed.nodes] == [frozenset(names)]
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,12 @@ def test_enumerate_gmc_respects_size_bounds():
     assert stmt("A,B", "D", "C,E") not in first
 
 
+@pytest.mark.parametrize("bounds", [dict(max_x=0), dict(max_y=0), dict(max_z=-1)])
+def test_enumerate_gmc_rejects_vacuous_bounds(bounds):
+    with pytest.raises(GraphError, match="enumeration bounds"):
+        enumerate_gmc(helpers.undirected_block(), **bounds)
+
+
 def test_enumerate_gmc_node_guard():
     big = MixedGraph.from_props([f"N{i}" for i in range(13)], [])
     with pytest.raises(GraphError, match="guard"):

@@ -136,6 +136,12 @@ def test_parse_fixture_order(quad_mixed_model):
     assert all(c.group == "D" for c in quad_mixed_model.constraints)
 
 
+def test_parse_deep_conjunction_under_the_default_recursion_limit():
+    lcn = parse_lcn("U: P(" + " & ".join(["A"] * 3000) + ") = 0.5\n")
+    assert lcn.props == ("A",)
+    assert canonical_key(lcn.constraints[0].phi) == canonical_key(A)
+
+
 # ---------------------------------------------------------------------------
 # Formatting
 
