@@ -22,10 +22,10 @@ Grammar::
     and     := unary ('&' unary)*
     unary   := '!' unary | '(' formula ')' | 'true' | 'false' | IDENT
 
-Operator precedence is `!` > `&` > `|`.  Identifiers are the usual
-letters/digits/underscore, not starting with a digit.  The words
-`given`, `true`, `false`, `U` and `D` are reserved and cannot name
-propositions.
+Operator precedence is `!` > `&` > `|`.  Parentheses nest at most
+`MAX_NESTING` deep.  Identifiers are the usual letters/digits/underscore,
+not starting with a digit.  The words `given`, `true`, `false`, `U` and
+`D` are reserved and cannot name propositions.
 """
 
 from __future__ import annotations
@@ -40,6 +40,11 @@ RESERVED_WORDS = frozenset({"given", "true", "false", "U", "D"})
 
 #: Largest joint support for truth-table operations.
 MAX_TABLE_PROPS = 20
+
+#: Deepest parenthesis nesting the parser accepts.  Runs of `!` and chains
+#: of one connective are read and printed in loops, so only parentheses
+#: nest the parser's and the printer's recursion.
+MAX_NESTING = 100
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
@@ -145,6 +150,7 @@ class TokenStream:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._i = 0
+        self.depth = 0  # open parentheses around the cursor
 
     @property
     def current(self) -> Token:
@@ -225,33 +231,43 @@ def _parse_and(stream: TokenStream, scope: Scope, declare: bool) -> Formula:
 
 def _parse_unary(stream: TokenStream, scope: Scope, declare: bool) -> Formula:
     tok = stream.current
-    if tok.kind == "op" and tok.text == "!":
+    negations = 0
+    while tok.kind == "op" and tok.text == "!":
         stream.advance()
-        return Not(_parse_unary(stream, scope, declare))
+        negations += 1
+        tok = stream.current
     if tok.kind == "op" and tok.text == "(":
-        stream.advance()
-        node = _parse_or(stream, scope, declare)
-        stream.expect_op(")")
-        return node
-    if tok.kind == "ident":
-        if tok.text == "true":
-            stream.advance()
-            return TOP
-        if tok.text == "false":
-            stream.advance()
-            return BOTTOM
-        if tok.text in RESERVED_WORDS:
-            raise ParseError(f"{tok.text!r} is a reserved word and cannot name a proposition",
+        if stream.depth == MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
                              column=tok.column)
         stream.advance()
-        if declare:
+        stream.depth += 1
+        node = _parse_or(stream, scope, declare)
+        stream.expect_op(")")
+        stream.depth -= 1
+    elif tok.kind == "ident":
+        if tok.text == "true":
+            node = TOP
+        elif tok.text == "false":
+            node = BOTTOM
+        elif tok.text in RESERVED_WORDS:
+            raise ParseError(f"{tok.text!r} is a reserved word and cannot name a proposition",
+                             column=tok.column)
+        elif declare:
             _declare(scope, tok.text)
+            node = Prop(tok.text)
         elif not _in_scope(scope, tok.text):
             raise ParseError(f"undeclared proposition {tok.text!r}", column=tok.column)
-        return Prop(tok.text)
-    if tok.kind == "end":
+        else:
+            node = Prop(tok.text)
+        stream.advance()
+    elif tok.kind == "end":
         raise ParseError("unexpected end of formula", column=tok.column)
-    raise ParseError(f"unexpected token {tok.text!r}", column=tok.column)
+    else:
+        raise ParseError(f"unexpected token {tok.text!r}", column=tok.column)
+    while negations:
+        node, negations = Not(node), negations - 1
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -270,19 +286,30 @@ def format_formula(f: Formula) -> str:
 def _format(f: Formula, level: int) -> str:
     if isinstance(f, Prop):
         return f.name
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bottom):
-        return "false"
-    if isinstance(f, Not):
-        return "!" + _format(f.child, 2)
     if isinstance(f, And):
-        text = f"{_format(f.left, 1)} & {_format(f.right, 1)}"
-        return f"({text})" if level > 1 else text
-    if isinstance(f, Or):
-        text = f"{_format(f.left, 0)} | {_format(f.right, 0)}"
-        return f"({text})" if level > 0 else text
-    raise TypeError(f"not a formula: {f!r}")
+        op, inner, sep = And, 1, " & "
+    elif isinstance(f, Or):
+        op, inner, sep = Or, 0, " | "
+    elif isinstance(f, Not):
+        negations = 0
+        while isinstance(f, Not):
+            f, negations = f.child, negations + 1
+        return "!" * negations + _format(f, 2)
+    elif isinstance(f, Top):
+        return "true"
+    elif isinstance(f, Bottom):
+        return "false"
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    # The left-leaning chain prints flat, walked from its last operand.
+    parts = []
+    while isinstance(f, op):
+        parts.append(_format(f.right, inner))
+        f = f.left
+    parts.append(_format(f, inner))
+    parts.reverse()
+    text = sep.join(parts)
+    return f"({text})" if level > inner else text
 
 
 # ---------------------------------------------------------------------------

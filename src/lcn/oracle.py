@@ -8,7 +8,9 @@ results can arbitrate the graph-level algorithms.
 
 Table layout: assignment index i sets proposition `props[j]` to bit j of
 i — the first proposition is the least significant bit.  The JSON form is
-``{"props": [...], "probs": [...]}`` with the same index order.
+``{"props": [...], "probs": [...]}`` with the same index order.  Marginals
+and clique tables use the same order over their own propositions, and
+`_project` is the one place that maps rows to such sub-indices.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import GraphError, ModelError
 from .factorize import FactorizationPlan
@@ -81,6 +83,18 @@ def table_from_json_dict(data: Mapping) -> JointTable:
     return JointTable(props, probs)
 
 
+def _project(props: Sequence[str], names: Sequence[str]) -> list[int]:
+    """For each row i of a table over `props`, the index of that row's
+    values on `names` (`names[k]` is bit k; names outside `props` stay 0).
+    Each step doubles the list: the rows with `props[j]` set are the rows
+    without it plus the bits of `props[j]` in `names`."""
+    index = [0]
+    for p in props:
+        bit = sum(1 << k for k, name in enumerate(names) if name == p)
+        index += [j + bit for j in index]
+    return index
+
+
 def _check_support(table: JointTable, f: Formula) -> None:
     unknown = support(f) - set(table.props)
     if unknown:
@@ -88,32 +102,22 @@ def _check_support(table: JointTable, f: Formula) -> None:
                          f"{', '.join(sorted(unknown))}")
 
 
-def _selected(table: JointTable, f: Formula) -> Iterator[float]:
-    """The probabilities of the rows satisfying `f`, in ascending index
-    order.  The kernel is MSB-first, so it gets the propositions reversed
-    to match the table's LSB-first layout."""
+def prob(table: JointTable, f: Formula) -> float:
+    """Total mass of the assignments satisfying `f`, summed in ascending
+    index order.  The kernel is MSB-first, so it gets the propositions
+    reversed to match the table's LSB-first layout."""
     _check_support(table, f)
     rows = bin(truth_mask(f, table.props[::-1]))[:1:-1]  # bit i at position i
-    return compress(table.probs, map("1".__eq__, rows))
-
-
-def prob(table: JointTable, f: Formula) -> float:
-    """Total mass of the assignments satisfying `f`."""
-    return sum(_selected(table, f))
+    return sum(compress(table.probs, map("1".__eq__, rows)))
 
 
 def cond_prob(table: JointTable, phi: Formula, psi: Formula) -> float | None:
     """P(phi | psi), or None when P(psi) = 0."""
     _check_support(table, phi)
-    margin = 0.0
-    for p in _selected(table, psi):
-        margin += p
+    margin = prob(table, psi)
     if margin == 0.0:
         return None
-    joint = 0.0
-    for p in _selected(table, And(psi, phi)):
-        joint += p
-    return joint / margin
+    return prob(table, And(psi, phi)) / margin
 
 
 # ---------------------------------------------------------------------------
@@ -156,40 +160,29 @@ def check_independence(table: JointTable, statement: IndependenceStatement,
                        tol: float = DEFAULT_TOL) -> StatementCheck:
     """Test P(x,y|z) = P(x|z)·P(y|z) for every configuration, skipping z
     configurations with zero mass."""
-    for name in statement.x + statement.y + statement.z:
+    x, y, z = statement.x, statement.y, statement.z
+    for name in x + y + z:
         if name not in table.props:
             raise ModelError(f"statement mentions unknown proposition {name!r}")
-    pos = {p: j for j, p in enumerate(table.props)}
+    marginals = []
+    for names in (x + y + z, x + z, y + z, z):
+        cells = [0.0] * (1 << len(names))
+        for j, p in zip(_project(table.props, names), table.probs):
+            cells[j] += p
+        marginals.append(cells)
+    pxyz, pxz, pyz, pz = marginals
 
-    def bits(names: tuple[str, ...], index: int) -> tuple[int, ...]:
-        return tuple((index >> pos[nm]) & 1 for nm in names)
-
-    pxyz: dict[tuple, float] = {}
-    pxz: dict[tuple, float] = {}
-    pyz: dict[tuple, float] = {}
-    pz: dict[tuple, float] = {}
-    for i, p in enumerate(table.probs):
-        xv, yv, zv = bits(statement.x, i), bits(statement.y, i), bits(statement.z, i)
-        pxyz[(xv, yv, zv)] = pxyz.get((xv, yv, zv), 0.0) + p
-        pxz[(xv, zv)] = pxz.get((xv, zv), 0.0) + p
-        pyz[(yv, zv)] = pyz.get((yv, zv), 0.0) + p
-        pz[zv] = pz.get(zv, 0.0) + p
-
+    nx, ny = 1 << len(x), 1 << len(y)
     worst = 0.0
-    for zv, mass in pz.items():
+    for zv, mass in enumerate(pz):
         if mass <= 0.0:
             continue
-        for xv in _configs(len(statement.x)):
-            for yv in _configs(len(statement.y)):
-                lhs = pxyz.get((xv, yv, zv), 0.0) / mass
-                rhs = (pxz.get((xv, zv), 0.0) / mass) * (pyz.get((yv, zv), 0.0) / mass)
+        for xv in range(nx):
+            for yv in range(ny):
+                lhs = pxyz[(zv * ny + yv) * nx + xv] / mass
+                rhs = (pxz[zv * nx + xv] / mass) * (pyz[zv * ny + yv] / mass)
                 worst = max(worst, abs(lhs - rhs))
     return StatementCheck(statement, worst <= tol, worst)
-
-
-def _configs(k: int) -> Iterable[tuple[int, ...]]:
-    for i in range(1 << k):
-        yield tuple((i >> j) & 1 for j in range(k))
 
 
 @dataclass(frozen=True)
@@ -241,40 +234,31 @@ def sample_chain_factorized(g: MixedGraph, plan: FactorizationPlan,
         raise GraphError("factorized sampling is defined over variable nodes only")
     names = [n.name for n in g.nodes]
     _check_table_size(len(names), "variables")
+    if not {n.name for f in plan.factors for c in f.cliques for n in c} <= set(names):
+        raise GraphError("the plan mentions nodes outside the graph")
     rng = random.Random(seed)
+    size = 1 << len(names)
 
-    factor_parts = []
+    probs = [1.0] * size
     for factor in plan.factors:
-        clique_weights = []
+        potential = [1.0] * size
         for clique in factor.cliques:
             clique_names = [n.name for n in clique]
             weights = [rng.uniform(WEIGHT_FLOOR, 1.0)
                        for _ in range(1 << len(clique_names))]
-            clique_weights.append((clique_names, weights))
-        component_names = [n.name for n in factor.component]
-        factor_parts.append((component_names, clique_weights))
-
-    def potential(clique_weights, assign: dict[str, int]) -> float:
-        value = 1.0
-        for clique_names, weights in clique_weights:
-            idx = sum(assign[nm] << j for j, nm in enumerate(clique_names))
-            value *= weights[idx]
-        return value
-
-    probs = []
-    for i in range(1 << len(names)):
-        assign = {nm: (i >> j) & 1 for j, nm in enumerate(names)}
-        p = 1.0
-        for component_names, clique_weights in factor_parts:
-            numerator = potential(clique_weights, assign)
-            denominator = 0.0
-            scratch = dict(assign)
-            for k in range(1 << len(component_names)):
-                for j, nm in enumerate(component_names):
-                    scratch[nm] = (k >> j) & 1
-                denominator += potential(clique_weights, scratch)
-            p *= numerator / denominator
-        probs.append(p)
+            potential = [v * weights[j]
+                         for v, j in zip(potential, _project(names, clique_names))]
+        # The rows that differ only on the component share one normalizer,
+        # kept at the row with the component's bits clear.
+        offsets = _project([n.name for n in factor.component], names)
+        mask = offsets[-1]
+        normalizer = [0.0] * size
+        for base in range(size):
+            if not base & mask:
+                for offset in offsets:
+                    normalizer[base] += potential[base + offset]
+        probs = [p * (v / normalizer[i & ~mask])
+                 for i, (p, v) in enumerate(zip(probs, potential))]
     total = sum(probs)
     return JointTable(tuple(names), tuple(q / total for q in probs))
 

@@ -31,7 +31,8 @@ from lcn.formula import (
 from lcn.graph import MixedGraph
 from lcn.markov import IndependenceStatement
 from lcn.model import Constraint, Lcn, make_lcn, parse_lcn
-from lcn.oracle import WEIGHT_FLOOR, JointTable
+from lcn.errors import ModelError
+from lcn.oracle import DEFAULT_TOL, WEIGHT_FLOOR, JointTable, StatementCheck
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -481,6 +482,91 @@ def dag_mirror_table(g: MixedGraph, plan: FactorizationPlan,
 
 
 # ---------------------------------------------------------------------------
+# Per-row oracle loops: references for the row-index oracle
+
+def check_independence_ref(table: JointTable, statement: IndependenceStatement,
+                           tol: float = DEFAULT_TOL) -> StatementCheck:
+    """Reference `check_independence`: tuple-keyed marginals filled row by
+    row, then every x, y configuration under each z with positive mass."""
+    for name in statement.x + statement.y + statement.z:
+        if name not in table.props:
+            raise ModelError(f"statement mentions unknown proposition {name!r}")
+    pos = {p: j for j, p in enumerate(table.props)}
+
+    def bits(names: tuple[str, ...], index: int) -> tuple[int, ...]:
+        return tuple((index >> pos[nm]) & 1 for nm in names)
+
+    def configs(k: int):
+        for i in range(1 << k):
+            yield tuple((i >> j) & 1 for j in range(k))
+
+    pxyz: dict[tuple, float] = {}
+    pxz: dict[tuple, float] = {}
+    pyz: dict[tuple, float] = {}
+    pz: dict[tuple, float] = {}
+    for i, p in enumerate(table.probs):
+        xv, yv, zv = bits(statement.x, i), bits(statement.y, i), bits(statement.z, i)
+        pxyz[(xv, yv, zv)] = pxyz.get((xv, yv, zv), 0.0) + p
+        pxz[(xv, zv)] = pxz.get((xv, zv), 0.0) + p
+        pyz[(yv, zv)] = pyz.get((yv, zv), 0.0) + p
+        pz[zv] = pz.get(zv, 0.0) + p
+
+    worst = 0.0
+    for zv, mass in pz.items():
+        if mass <= 0.0:
+            continue
+        for xv in configs(len(statement.x)):
+            for yv in configs(len(statement.y)):
+                lhs = pxyz.get((xv, yv, zv), 0.0) / mass
+                rhs = (pxz.get((xv, zv), 0.0) / mass) * (pyz.get((yv, zv), 0.0) / mass)
+                worst = max(worst, abs(lhs - rhs))
+    return StatementCheck(statement, worst <= tol, worst)
+
+
+def sample_chain_factorized_ref(g: MixedGraph, plan: FactorizationPlan,
+                                seed: int) -> JointTable:
+    """Reference `sample_chain_factorized`: per row, each factor's potential
+    from an assignment dict, divided by its normalizer summed afresh over
+    every configuration of the component.  Same draw order."""
+    names = [n.name for n in g.nodes]
+    rng = random.Random(seed)
+    factor_parts = []
+    for factor in plan.factors:
+        clique_weights = []
+        for clique in factor.cliques:
+            clique_names = [n.name for n in clique]
+            weights = [rng.uniform(WEIGHT_FLOOR, 1.0)
+                       for _ in range(1 << len(clique_names))]
+            clique_weights.append((clique_names, weights))
+        component_names = [n.name for n in factor.component]
+        factor_parts.append((component_names, clique_weights))
+
+    def potential(clique_weights, assign: dict[str, int]) -> float:
+        value = 1.0
+        for clique_names, weights in clique_weights:
+            idx = sum(assign[nm] << j for j, nm in enumerate(clique_names))
+            value *= weights[idx]
+        return value
+
+    probs = []
+    for i in range(1 << len(names)):
+        assign = {nm: (i >> j) & 1 for j, nm in enumerate(names)}
+        p = 1.0
+        for component_names, clique_weights in factor_parts:
+            numerator = potential(clique_weights, assign)
+            denominator = 0.0
+            scratch = dict(assign)
+            for k in range(1 << len(component_names)):
+                for j, nm in enumerate(component_names):
+                    scratch[nm] = (k >> j) & 1
+                denominator += potential(clique_weights, scratch)
+            p *= numerator / denominator
+        probs.append(p)
+    total = sum(probs)
+    return JointTable(tuple(names), tuple(q / total for q in probs))
+
+
+# ---------------------------------------------------------------------------
 # Per-assignment truth tables: references for the bit-parallel kernel
 
 def _assignments(props: tuple[str, ...]):
@@ -500,6 +586,20 @@ def truth_mask_ref(f, props: tuple[str, ...]) -> int:
         if eval_formula(f, {**base, **a}):
             mask |= 1 << i
     return mask
+
+
+def format_formula_ref(f, level: int = 0) -> str:
+    """Reference `format_formula`: one recursive call per node (precedence
+    levels 0 = or, 1 = and, 2 = unary)."""
+    if isinstance(f, Prop):
+        return f.name
+    if f == TOP or f == BOTTOM:
+        return "true" if f == TOP else "false"
+    if isinstance(f, Not):
+        return "!" + format_formula_ref(f.child, 2)
+    inner, op = (1, "&") if isinstance(f, And) else (0, "|")
+    text = f"{format_formula_ref(f.left, inner)} {op} {format_formula_ref(f.right, inner)}"
+    return f"({text})" if level > inner else text
 
 
 def canonical_key_ref(f):

@@ -54,6 +54,22 @@ def test_parse_syntax_error_exit_code(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("formula, code", [
+    (" & ".join(["A"] * 3000), 0),
+    ("!" * 3000 + "A", 0),
+    ("(" * 3000 + "A" + ")" * 3000, 1),
+])
+def test_parse_deep_formulas_without_traceback(tmp_path, capsys, formula, code):
+    model = write(tmp_path, "deep.lcn", f"U: P({formula}) = 0.5\n")
+    assert main(["parse", model]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if code:
+        assert captured.err.startswith("error: line 1, column 106: parentheses nested deeper")
+    else:
+        assert f"P({formula})" in captured.out
+
+
 def test_missing_file_reported_as_error(capsys):
     assert main(["parse", "/nonexistent/model.lcn"]) == 1
     assert "error: cannot read" in capsys.readouterr().err

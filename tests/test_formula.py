@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lcn.formula
-from helpers import canonical_key_ref, st_formulas, truth_mask_ref
+from helpers import canonical_key_ref, format_formula_ref, st_formulas, truth_mask_ref
 from lcn.errors import LcnError, ParseError
 from lcn.formula import (
     And,
@@ -194,6 +194,27 @@ def test_print_parse_roundtrip_preserves_meaning(f):
     g = parse_formula(text)
     assert canonical_key(g) == canonical_key(f)
     assert format_formula(g) == text
+
+
+@settings(max_examples=150, deadline=None)
+@given(formulas)
+def test_format_matches_recursive_reference(f):
+    assert format_formula(f) == format_formula_ref(f)
+
+
+def test_deep_negations_and_chains_parse_and_print_in_loops():
+    # far past the default recursion limit of 1000
+    for text in ("!" * 3000 + "A", " & ".join(["A"] * 3000), " | ".join(["B"] * 3000)):
+        assert format_formula(parse_formula(text)) == text
+
+
+def test_parenthesis_nesting_limit():
+    depth = lcn.formula.MAX_NESTING
+    text = "(" * depth + "A" + ")" * depth
+    assert parse_formula(text) == A
+    with pytest.raises(ParseError, match=f"nested deeper than {depth}") as exc:
+        parse_formula("!(" * (depth + 1) + "A" + ")" * (depth + 1))
+    assert exc.value.column == 2 * depth + 2
 
 
 @settings(max_examples=150, deadline=None)

@@ -12,7 +12,7 @@ from lcn.errors import GraphError, ModelError
 from lcn.factorize import factorization_plan
 from lcn.formula import eval_formula, parse_formula
 from lcn.graph import MixedGraph
-from lcn.markov import LMC_C, LMC_CSTR, local_statements
+from lcn.markov import LMC_C, LMC_CSTR, IndependenceStatement, local_statements
 from lcn.model import Constraint, parse_lcn
 from lcn.oracle import (
     DEFAULT_TOL,
@@ -264,6 +264,28 @@ def test_check_independence_agrees_with_mutual_information(seed):
     assert helpers.cmi(product, statement) <= 1e-9
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_check_independence_is_bit_identical_to_per_row_reference(seed, sparse):
+    rng = random.Random(seed)
+    g = helpers.random_chain_graph(rng, rng.randint(2, 8))
+    sampled = sample_chain_factorized(g, factorization_plan(g), seed)
+    # shuffled table order, so the sorted statement sides list it out of order
+    table = JointTable(tuple(rng.sample(sampled.props, len(sampled.props))), sampled.probs)
+    names = rng.sample(table.props, len(table.props))
+    a = rng.randint(1, len(names) - 1)
+    b = rng.randint(a + 1, len(names))
+    statement = IndependenceStatement(tuple(names[:a]), tuple(names[a:b]), tuple(names[b:]))
+    if sparse:  # zero mass on every z configuration with z[0] set, and on random rows
+        bit = 1 << table.props.index(statement.z[0]) if statement.z else 0
+        kept = [0.0 if i & bit or rng.random() < 0.5 else p
+                for i, p in enumerate(table.probs)]
+        total = sum(kept)
+        if total > 0.0:
+            table = JointTable(table.props, tuple(p / total for p in kept))
+    assert check_independence(table, statement) == helpers.check_independence_ref(table, statement)
+
+
 # ---------------------------------------------------------------------------
 # Sampling
 
@@ -311,6 +333,24 @@ def test_sample_chain_factorized_matches_dag_mirror():
             assert abs(a - b) <= 1e-12
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6))
+def test_sample_chain_factorized_is_bit_identical_to_per_row_reference(seed):
+    rng = random.Random(seed)
+    g = helpers.random_chain_graph(rng, rng.randint(1, 8))
+    plan = factorization_plan(g)
+    assert sample_chain_factorized(g, plan, seed) == helpers.sample_chain_factorized_ref(g, plan, seed)
+
+
+def test_oracle_at_the_table_limit_is_bit_identical_to_per_row_references():
+    g = helpers.random_chain_graph(random.Random(MAX_TABLE_PROPS), MAX_TABLE_PROPS)
+    plan = factorization_plan(g)
+    table = sample_chain_factorized(g, plan, 0)
+    assert table == helpers.sample_chain_factorized_ref(g, plan, 0)
+    for s in local_statements(g, LMC_C):
+        assert check_independence(table, s) == helpers.check_independence_ref(table, s)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_sample_chain_factorized_markov_property(seed):
@@ -330,6 +370,9 @@ def test_sample_chain_factorized_guards(smokers):
     big = MixedGraph.from_props([f"P{i}" for i in range(13)], [])
     with pytest.raises(ModelError, match="table limit"):
         sample_chain_factorized(big, factorization_plan(big), 0)
+    tail_plan = factorization_plan(helpers.quad_chain_tail())
+    with pytest.raises(GraphError, match="outside the graph"):
+        sample_chain_factorized(helpers.quad_chain(), tail_plan, 0)
 
 
 # ---------------------------------------------------------------------------
