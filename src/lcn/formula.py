@@ -46,8 +46,6 @@ MAX_TABLE_PROPS = 20
 #: nest the parser's and the printer's recursion.
 MAX_NESTING = 100
 
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
-
 
 class Formula:
     """Base class of all formula nodes.  Instances are immutable."""
@@ -97,15 +95,6 @@ class Bottom(Formula):
 
 TOP = Top()
 BOTTOM = Bottom()
-
-
-def validate_prop_name(name: str) -> str:
-    """Check that `name` is a legal proposition identifier and return it."""
-    if not IDENT_RE.match(name):
-        raise ParseError(f"invalid proposition name {name!r}")
-    if name in RESERVED_WORDS:
-        raise ParseError(f"{name!r} is a reserved word and cannot name a proposition")
-    return name
 
 
 # ---------------------------------------------------------------------------
@@ -319,24 +308,39 @@ def eval_formula(f: Formula, assignment: Mapping[str, int]) -> bool:
     """Evaluate `f` under a total truth assignment.
 
     Values may be bools or 0/1 integers.  A proposition missing from the
-    assignment raises LcnError.
+    assignment raises LcnError.  Operands are read left to right and `&`
+    and `|` short-circuit, so a missing proposition is only reported when
+    its value is needed.  The walk keeps its own stack, so deep formulas
+    do not recurse.
     """
-    if isinstance(f, Prop):
-        try:
-            return bool(assignment[f.name])
-        except KeyError:
-            raise LcnError(f"assignment is missing proposition {f.name!r}") from None
-    if isinstance(f, Not):
-        return not eval_formula(f.child, assignment)
-    if isinstance(f, And):
-        return eval_formula(f.left, assignment) and eval_formula(f.right, assignment)
-    if isinstance(f, Or):
-        return eval_formula(f.left, assignment) or eval_formula(f.right, assignment)
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bottom):
-        return False
-    raise TypeError(f"not a formula: {f!r}")
+    pending: list[Formula] = []
+    node = f
+    while True:
+        while isinstance(node, (Not, And, Or)):
+            pending.append(node)
+            node = node.child if isinstance(node, Not) else node.left
+        if isinstance(node, Prop):
+            try:
+                value = bool(assignment[node.name])
+            except KeyError:
+                raise LcnError(f"assignment is missing proposition {node.name!r}") from None
+        elif isinstance(node, Top):
+            value = True
+        elif isinstance(node, Bottom):
+            value = False
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+        while pending:
+            op = pending.pop()
+            if isinstance(op, Not):
+                value = not value
+            elif value == isinstance(op, And):
+                # A true left side of `&` or a false one of `|`: the right
+                # side's value is the whole operation's value.
+                node = op.right
+                break
+        else:
+            return value
 
 
 def support_in_order(f: Formula) -> list[str]:

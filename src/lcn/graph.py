@@ -139,6 +139,10 @@ class MixedGraph:
         self._children = {n: tuple(sorted(s)) for n, s in children.items()}
         self._neighbors = {n: tuple(sorted(s)) for n, s in neighbors.items()}
         self._by_name = {n.name: n for n in self.nodes}
+        # Derived once, on first use: the step-relation components and the
+        # bitmask view.
+        self._roots: dict[Node, Node] | None = None
+        self._view: _MaskView | None = None
 
     @staticmethod
     def _check_edge(a: Node, b: Node, node_set: set[Node]) -> None:
@@ -223,15 +227,8 @@ class MixedGraph:
 
     def smallest_ancestral_set(self, nodes: Iterable["Node | str"]) -> frozenset[Node]:
         """Close the set under boundaries until nothing is added."""
-        closed = set(self.resolve_set(nodes))
-        frontier = list(closed)
-        while frontier:
-            n = frontier.pop()
-            for b in self.boundary(n):
-                if b not in closed:
-                    closed.add(b)
-                    frontier.append(b)
-        return frozenset(closed)
+        view = self._masks()
+        return frozenset(view.members(view.ancestral(view.mask(self.resolve_set(nodes)))))
 
     # -- global structure --------------------------------------------------
 
@@ -258,7 +255,10 @@ class MixedGraph:
     def _step_components(self) -> dict[Node, Node]:
         """Strongly connected components of the step relation (directed
         edges forward, undirected edges both ways) as a map from each node
-        to its component's root; Kosaraju's two passes, iteratively."""
+        to its component's root; Kosaraju's two passes, iteratively.
+        Computed once per graph; callers must not modify the map."""
+        if self._roots is not None:
+            return self._roots
         order: list[Node] = []
         seen: set[Node] = set()
         for start in self.nodes:
@@ -288,6 +288,7 @@ class MixedGraph:
                     if v not in root:
                         root[v] = start
                         frontier.append(v)
+        self._roots = root
         return root
 
     def has_directed_cycle(self) -> bool:
@@ -369,18 +370,7 @@ class MixedGraph:
         """Undirected graph joining every pair of nodes with children in a
         common chain component, then dropping all directions (a bi-directed
         pair collapses to a single undirected edge)."""
-        new_undirected = {(a, b) for a, b in self.undirected}
-        for component in self.chain_components():
-            with_child_here = sorted(
-                n for n in self.nodes
-                if any(c in component for c in self._children[n])
-            )
-            for i, a in enumerate(with_child_here):
-                for b in with_child_here[i + 1:]:
-                    new_undirected.add(_undirected_key(a, b))
-        for a, b in self.directed:
-            new_undirected.add(_undirected_key(a, b))
-        return MixedGraph(self.nodes, (), new_undirected)
+        return self._masks().moral_graph((1 << len(self.nodes)) - 1)
 
     def gma(self,
             n1: Iterable["Node | str"],
@@ -390,8 +380,8 @@ class MixedGraph:
         containing n1 ∪ n2 ∪ n3."""
         s1, s2, s3 = self.resolve_set(n1), self.resolve_set(n2), self.resolve_set(n3)
         _check_disjoint(s1, s2, s3)
-        ancestral = self.smallest_ancestral_set(s1 | s2 | s3)
-        return self.induced_subgraph(ancestral).moral_graph()
+        view = self._masks()
+        return view.moral_graph(view.ancestral(view.mask(s1 | s2 | s3)))
 
     def separates(self,
                   n1: Iterable["Node | str"],
@@ -402,16 +392,126 @@ class MixedGraph:
             raise GraphError("separation is defined on undirected graphs only")
         s1, s2, s3 = self.resolve_set(n1), self.resolve_set(n2), self.resolve_set(n3)
         _check_disjoint(s1, s2, s3)
-        seen = set(s1)
-        queue = [n for n in s1 if n not in s2]
-        while queue:
-            n = queue.pop()
-            if n in s3:
+        view = self._masks()
+        return view.separated(view.neighbors, view.mask(s1), view.mask(s3), view.mask(s2))
+
+    def _masks(self) -> "_MaskView":
+        """The bitmask view of this graph, built on first use."""
+        if self._view is None:
+            self._view = _MaskView(self)
+        return self._view
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _MaskView:
+    """A graph's nodes as bit positions and its adjacency as int bitmasks,
+    so that global-condition queries allocate no graph.
+
+    Bit i stands for `nodes[i]`.  `parents`, `children`, `neighbors` and
+    `boundary` hold one mask per node, and `components` pairs each chain
+    component's mask with the mask of its parents: every node with a child
+    in the component, members included.
+
+    Moralization rule, stated here once: in the moral graph two nodes are
+    adjacent when an edge of either kind joins them, or when both have a
+    child in one chain component.
+
+    `moral(A)` reads the moral graph of the induced subgraph G[A] straight
+    off the full-graph masks when A is ancestral, i.e. closed under parents
+    and neighbours.  This is sound:
+
+    * closure under neighbours makes every chain component of G lie wholly
+      inside A or wholly outside it, so the chain components of G[A] are
+      exactly the components of G inside A;
+    * closure under parents puts every parent of such a component in A, so
+      its parents in G[A] are its parents in G;
+    * an edge from a node of A to one of its parents or neighbours stays
+      inside A, so only children need cutting down to A.
+    """
+
+    __slots__ = ("nodes", "bit", "parents", "children", "neighbors", "boundary",
+                 "components")
+
+    def __init__(self, g: MixedGraph):
+        self.nodes = g.nodes
+        self.bit = {n: 1 << i for i, n in enumerate(g.nodes)}
+        self.parents = [self.mask(g._parents[n]) for n in g.nodes]
+        self.children = [self.mask(g._children[n]) for n in g.nodes]
+        self.neighbors = [self.mask(g._neighbors[n]) for n in g.nodes]
+        self.boundary = [p | nb for p, nb in zip(self.parents, self.neighbors)]
+        self.components: list[tuple[int, int]] = []
+        for component in g.chain_components():
+            members = self.mask(component)
+            parents = 0
+            for i in _bits(members):
+                parents |= self.parents[i]
+            self.components.append((members, parents))
+
+    def mask(self, nodes: Iterable[Node]) -> int:
+        out = 0
+        for n in nodes:
+            out |= self.bit[n]
+        return out
+
+    def members(self, mask: int) -> list[Node]:
+        return [self.nodes[i] for i in _bits(mask)]
+
+    def ancestral(self, mask: int) -> int:
+        """The smallest ancestral superset of `mask`: add the boundaries of
+        the newly added nodes until nothing changes."""
+        frontier = mask
+        while frontier:
+            grown = 0
+            for i in _bits(frontier):
+                grown |= self.boundary[i]
+            frontier = grown & ~mask
+            mask |= frontier
+        return mask
+
+    def moral(self, ancestral: int) -> list[int]:
+        """Adjacency masks of the moral graph of G[ancestral], one per node
+        (0 outside the set); `ancestral` must be closed under boundaries."""
+        adj = [0] * len(self.nodes)
+        for members, parents in self.components:
+            if members & ancestral:
+                for i in _bits(parents):
+                    adj[i] |= parents
+        for i in _bits(ancestral):
+            adj[i] = (adj[i] | self.boundary[i] | self.children[i] & ancestral) & ~(1 << i)
+        return adj
+
+    def moral_graph(self, ancestral: int) -> MixedGraph:
+        """The moral graph of G[ancestral] as an undirected MixedGraph."""
+        adj = self.moral(ancestral)
+        return MixedGraph(
+            self.members(ancestral), (),
+            [(self.nodes[i], self.nodes[j])
+             for i in _bits(ancestral) for j in _bits(adj[i] >> i << i)],
+        )
+
+    @staticmethod
+    def separated(adj: list[int], a: int, b: int, cut: int) -> bool:
+        """Whether no path of the undirected graph with adjacency `adj`
+        joins `a` to `b` avoiding `cut` (the three sets disjoint): a
+        breadth-first search from `a` that never enters `cut`."""
+        reached = frontier = a
+        while frontier:
+            step = 0
+            while frontier:  # _bits inlined: this loop is the hot path
+                low = frontier & -frontier
+                step |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = step & ~(reached | cut)
+            if frontier & b:
                 return False
-            for m in self._neighbors[n]:
-                if m not in seen and m not in s2:
-                    seen.add(m)
-                    queue.append(m)
+            reached |= frontier
         return True
 
 

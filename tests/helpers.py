@@ -449,6 +449,67 @@ def chain_strict_descendants_ref(g: MixedGraph, node) -> set:
     return out
 
 
+def gma_ref(g: MixedGraph, n1, n2, n3) -> MixedGraph:
+    """The moral graph of the smallest ancestral set, built straight-line:
+    a set-based closure under boundaries, the induced subgraph, then the
+    moralization rule applied to that subgraph's own chain components."""
+    closed = set(g.resolve_set(n1) | g.resolve_set(n2) | g.resolve_set(n3))
+    frontier = list(closed)
+    while frontier:
+        for b in g.boundary(frontier.pop()):
+            if b not in closed:
+                closed.add(b)
+                frontier.append(b)
+    sub = g.induced_subgraph(closed)
+    edges = set(sub.undirected) | set(sub.directed)
+    for component in sub.chain_components():
+        married = sorted(n for n in sub.nodes if sub.children(n) & component)
+        edges.update(combinations(married, 2))
+    return MixedGraph(sub.nodes, (), edges)
+
+
+def separated_ref(g: MixedGraph, n1, n2, n3) -> bool:
+    """Set-based search in an undirected graph: whether n2 blocks every
+    path from n1 to n3."""
+    blocked, targets = g.resolve_set(n2), g.resolve_set(n3)
+    seen = set(g.resolve_set(n1))
+    queue = list(seen)
+    while queue:
+        n = queue.pop()
+        if n in targets:
+            return False
+        for m in g.neighbors(n):
+            if m not in seen and m not in blocked:
+                seen.add(m)
+                queue.append(m)
+    return True
+
+
+def enumerate_gmc_ref(g: MixedGraph, max_x: int = 2, max_y: int | None = None,
+                      max_z: int = 3) -> frozenset[IndependenceStatement]:
+    """The global condition enumerated with one freshly built moral graph
+    and one separation search per (X, Y, Z) triple."""
+    variables = tuple(n for n in g.nodes if n.kind != "formula")
+    if max_y is None:
+        max_y = len(variables)
+
+    def subsets(pool, lo, hi):
+        for size in range(lo, min(hi, len(pool)) + 1):
+            yield from combinations(pool, size)
+
+    out = set()
+    for x in subsets(variables, 1, max_x):
+        rest_x = [v for v in variables if v not in x]
+        for y in subsets(rest_x, 1, max_y):
+            rest_xy = [v for v in rest_x if v not in y]
+            for z in subsets(rest_xy, 0, max_z):
+                if separated_ref(gma_ref(g, x, z, y), x, z, y):
+                    out.add(IndependenceStatement(tuple(v.name for v in x),
+                                                  tuple(v.name for v in y),
+                                                  tuple(v.name for v in z)))
+    return frozenset(out)
+
+
 def dag_mirror_table(g: MixedGraph, plan: FactorizationPlan,
                      seed: int) -> JointTable:
     """Mirror of the factorized sampler for DAG plans, built from per-node

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -170,6 +171,16 @@ def test_indep_condition_graph_defaults(capsys):
     gmc_data = json.loads(capsys.readouterr().out)
     assert gmc_data["graph"] == "structure"
     assert len(gmc_data["statements"]) == 3
+
+
+def test_indep_gmc_smokers_output_is_pinned(capsys):
+    # 3,960 statements; the digest is that of the per-triple enumerator
+    # that built two graphs per query.
+    assert main(["indep", SMOKERS, "--condition", "gmc-c"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 3960
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "57ace7e79ddcf5fb401c71f35b465af96d4c7a11d9a7a98a51bde97b6e6f6c6c"
 
 
 def test_indep_empty_output_for_cycle(capsys):

@@ -129,6 +129,27 @@ def test_eval_formula():
     assert eval_formula(BOTTOM, {}) is False
 
 
+def test_eval_formula_short_circuits_left_to_right():
+    # C is missing: it is only an error when its value is needed.
+    assert eval_formula(And(B, C), {"A": 1, "B": 0}) is False
+    assert eval_formula(Or(A, C), {"A": 1, "B": 0}) is True
+    assert eval_formula(Not(Or(Not(A), C)), {"A": 0}) is False
+    with pytest.raises(LcnError, match="missing proposition 'C'"):
+        eval_formula(And(A, C), {"A": 1})
+    with pytest.raises(LcnError, match="missing proposition 'C'"):
+        eval_formula(Or(B, Not(C)), {"B": 0})
+
+
+def test_eval_formula_on_deep_formulas():
+    # far past the default recursion limit of 1000
+    assert eval_formula(parse_formula("!" * 3000 + "A"), {"A": 1}) is True
+    assert eval_formula(parse_formula("!" * 3001 + "A"), {"A": 1}) is False
+    assert eval_formula(parse_formula(" & ".join(["A"] * 3000)), {"A": 1}) is True
+    assert eval_formula(parse_formula(" | ".join(["B"] * 3000) + " | A"), {"A": 1, "B": 0})
+    with pytest.raises(LcnError, match="missing proposition 'A'"):
+        eval_formula(parse_formula("!" * 3000 + "A"), {})
+
+
 def test_support_is_syntactic():
     assert support(Or(And(A, B), And(A, Not(B)))) == {"A", "B"}
     assert support(TOP) == frozenset()

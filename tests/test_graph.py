@@ -173,6 +173,14 @@ def test_cycle_detection_matches_naive_search(seed, n):
     assert g.has_directed_cycle() == naive_directed_cycle(g)
 
 
+def test_step_components_are_computed_once():
+    g = quad_mixed()
+    roots = g._step_components()
+    assert g._step_components() is roots
+    assert g.has_directed_cycle()
+    assert g._step_components() is roots
+
+
 # ---------------------------------------------------------------------------
 # Descendants
 
@@ -253,6 +261,22 @@ def test_gma_uses_the_ancestral_subgraph():
         und("AB", "CD", "BD", "AD", "BC")
     # Restricted to the ancestral set of {A, C}, the graph is empty.
     assert und_names(g.gma({"A"}, set(), {"C"})) == set()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([random_chain_graph, random_mixed_graph]), st.integers(1, 8),
+       st.integers(0, 10**6))
+def test_moral_graph_and_gma_match_straight_line_reference(family, n, seed):
+    rng = random.Random(seed)
+    g = family(rng, n)
+    assert g.moral_graph() == helpers.gma_ref(g, g.nodes, (), ())
+    nodes = list(g.nodes)
+    for _ in range(10):
+        rng.shuffle(nodes)
+        cut_1, cut_2, cut_3 = sorted(rng.randint(0, n) for _ in range(3))
+        s1, s2, s3 = nodes[:cut_1], nodes[cut_1:cut_2], nodes[cut_2:cut_3]
+        assert g.gma(s1, s2, s3) == helpers.gma_ref(g, s1, s2, s3)
+        assert g.smallest_ancestral_set(s1) == frozenset(helpers.gma_ref(g, s1, (), ()).nodes)
 
 
 def test_gma_rejects_overlapping_sets():

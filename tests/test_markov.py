@@ -234,6 +234,34 @@ def test_gmc_implies_every_local_cstr_statement(seed):
         assert gmc_implies(g, s.x, s.z, s.y)
 
 
+graph_families = st.sampled_from([helpers.random_chain_graph, helpers.random_mixed_graph])
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_families, st.integers(1, 7), st.integers(0, 10**6), st.integers(1, 3),
+       st.one_of(st.none(), st.integers(1, 7)), st.integers(0, 4))
+def test_enumerate_gmc_matches_per_triple_reference(family, n, seed, max_x, max_y, max_z):
+    g = family(random.Random(seed), n)
+    assert enumerate_gmc(g, max_x, max_y, max_z) == \
+        helpers.enumerate_gmc_ref(g, max_x, max_y, max_z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_families, st.integers(2, 7), st.integers(0, 10**6))
+def test_gmc_implies_matches_gma_separation(family, n, seed):
+    rng = random.Random(seed)
+    g = family(rng, n)
+    nodes = list(g.nodes)
+    for _ in range(20):
+        rng.shuffle(nodes)
+        size = rng.randint(2, n)
+        cut_x = rng.randint(1, size - 1)
+        cut_z = rng.randint(cut_x, size - 1)
+        x, z, y = nodes[:cut_x], nodes[cut_x:cut_z], nodes[cut_z:size]
+        want = helpers.separated_ref(helpers.gma_ref(g, x, z, y), x, z, y)
+        assert gmc_implies(g, x, z, y) == g.gma(x, z, y).separates(x, z, y) == want
+
+
 # ---------------------------------------------------------------------------
 # Weak descendants and the strict/weak split
 
