@@ -183,25 +183,16 @@ def _require_prop(dep: MixedGraph, node) -> Node:
     return n
 
 
+def _formula_mask(dep: MixedGraph) -> int:
+    return dep._mask(n for n in dep.nodes if n.kind == "formula")
+
+
 def lcn_parents(dep: MixedGraph, node) -> frozenset[Node]:
     """Propositions with a directed path to `node` passing only through
     formula-nodes."""
-    target = _require_prop(dep, node)
-    found: set[Node] = set()
-    seen = {target}
-    queue = [target]
-    while queue:
-        n = queue.pop()
-        for p in dep.parents(n):
-            if p in seen:
-                continue
-            seen.add(p)
-            if p.kind == "formula":
-                queue.append(p)
-            else:
-                found.add(p)
-    found.discard(target)
-    return frozenset(found)
+    target = dep._mask([_require_prop(dep, node)])
+    formulas = _formula_mask(dep)
+    return dep._members(dep._reach(target, dep._parent_masks, formulas) & ~(formulas | target))
 
 
 def lcn_descendants(dep: MixedGraph, node) -> frozenset[Node]:
@@ -216,18 +207,7 @@ def lcn_descendants(dep: MixedGraph, node) -> frozenset[Node]:
     remainder by blocking is exactly one sitting in its boundary.
     """
     start = _require_prop(dep, node)
-    blocked = lcn_parents(dep, start)
-    reached: set[Node] = set()
-    seen = {start}
-    queue = [start]
-    while queue:
-        n = queue.pop()
-        for child in dep.children(n):
-            if child in seen:
-                continue
-            seen.add(child)
-            reached.add(child)
-            if child not in blocked:
-                queue.append(child)
-    reached.discard(start)
-    return frozenset(n for n in reached if n.kind == "prop")
+    blocked = dep._mask(lcn_parents(dep, start))
+    bit = dep._mask([start])
+    reached = dep._reach(bit, dep._child_masks, ~blocked)
+    return dep._members(reached & ~(_formula_mask(dep) | bit))

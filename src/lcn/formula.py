@@ -38,8 +38,9 @@ from .errors import ParseError, LcnError
 
 RESERVED_WORDS = frozenset({"given", "true", "false", "U", "D"})
 
-#: Largest joint support for truth-table operations.
-MAX_TABLE_PROPS = 20
+#: Largest joint support for truth-table operations on formulas (the joint
+#: probability tables of `lcn.oracle` have their own, smaller limit).
+MAX_TRUTH_TABLE_PROPS = 20
 
 #: Deepest parenthesis nesting the parser accepts.  Runs of `!` and chains
 #: of one connective are read and printed in loops, so only parentheses
@@ -424,9 +425,9 @@ def truth_mask(f: Formula, props: tuple[str, ...]) -> int:
 
 
 def _check_table_size(what: str, k: int) -> None:
-    if k > MAX_TABLE_PROPS:
+    if k > MAX_TRUTH_TABLE_PROPS:
         raise LcnError(f"{what} of {k} propositions exceeds "
-                       f"the {MAX_TABLE_PROPS}-proposition truth-table cap")
+                       f"the {MAX_TRUTH_TABLE_PROPS}-proposition truth-table cap")
 
 
 def semantically_equal(f: Formula, g: Formula) -> bool:

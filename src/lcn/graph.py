@@ -12,13 +12,17 @@ directed edge, and a graph with no directed cycle is a *chain graph*.
 
 Nodes carry a kind so graphs over propositions can coexist with graphs that
 also hold formula nodes or the super-nodes produced by cycle condensation.
+
+Bit convention: a graph sorts its nodes once, and a set of its nodes is an
+int mask in which bit i stands for `nodes[i]`.  Adjacency is stored only
+that way, one mask per node, and every traversal runs on masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import GraphError
 from .formula import CanonicalKey, Formula, canonical_key, format_formula
@@ -92,7 +96,6 @@ def super_node(members: Iterable[str]) -> Node:
     return Node("super", "{" + ",".join(sorted(members)) + "}", members=members)
 
 
-NodeLike = "Node | str"
 Edge = tuple[Node, Node]
 
 
@@ -100,12 +103,52 @@ def _undirected_key(a: Node, b: Node) -> Edge:
     return (a, b) if a.sort_key <= b.sort_key else (b, a)
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _union(adj: list[int], mask: int) -> int:
+    """The union of `adj[i]` over the set bits i of `mask`."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= adj[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 class MixedGraph:
-    """Immutable mixed graph with precomputed adjacency.
+    """Immutable mixed graph whose adjacency is held as node bitmasks.
 
     `directed` is a set of ordered pairs, `undirected` a set of pairs in
     canonical node order.  Query methods accept nodes or plain proposition
     names.
+
+    `_parent_masks`, `_child_masks`, `_neighbor_masks` and
+    `_boundary_masks` (parents | neighbours) hold one mask per node.
+    `_chain_masks()`, built on first use, pairs each chain component's mask
+    with the mask of its parents: every node with a child in the component,
+    members included.
+
+    Moralization rule, stated here once: in the moral graph two nodes are
+    adjacent when an edge of either kind joins them, or when both have a
+    child in one chain component.
+
+    `_moral(A)` reads the moral graph of the induced subgraph G[A] straight
+    off the full-graph masks when A is ancestral, i.e. closed under parents
+    and neighbours.  This is sound:
+
+    * closure under neighbours makes every chain component of G lie wholly
+      inside A or wholly outside it, so the chain components of G[A] are
+      exactly the components of G inside A;
+    * closure under parents puts every parent of such a component in A, so
+      its parents in G[A] are its parents in G;
+    * an edge from a node of A to one of its parents or neighbours stays
+      inside A, so only children need cutting down to A.
     """
 
     def __init__(self,
@@ -113,43 +156,42 @@ class MixedGraph:
                  directed: Iterable[Edge] = (),
                  undirected: Iterable[Edge] = ()):
         self.nodes: tuple[Node, ...] = tuple(sorted(set(nodes)))
-        node_set = set(self.nodes)
+        self._index = index = {n: i for i, n in enumerate(self.nodes)}
+        self._by_name = {n.name: n for n in self.nodes}
 
+        def positions(a: Node, b: Node) -> tuple[int, int]:
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
+                raise GraphError(f"edge endpoint not in graph: {a!r} -- {b!r}")
+            if i == j:
+                raise GraphError(f"self-loop on {a!r}")
+            return i, j
+
+        parents = [0] * len(self.nodes)
+        children = [0] * len(self.nodes)
+        neighbors = [0] * len(self.nodes)
         dir_edges: set[Edge] = set()
         for a, b in directed:
-            self._check_edge(a, b, node_set)
+            i, j = positions(a, b)
+            children[i] |= 1 << j
+            parents[j] |= 1 << i
             dir_edges.add((a, b))
         undir_edges: set[Edge] = set()
         for a, b in undirected:
-            self._check_edge(a, b, node_set)
+            i, j = positions(a, b)
+            neighbors[i] |= 1 << j
+            neighbors[j] |= 1 << i
             undir_edges.add(_undirected_key(a, b))
         self.directed: frozenset[Edge] = frozenset(dir_edges)
         self.undirected: frozenset[Edge] = frozenset(undir_edges)
-
-        parents: dict[Node, set[Node]] = {n: set() for n in self.nodes}
-        children: dict[Node, set[Node]] = {n: set() for n in self.nodes}
-        neighbors: dict[Node, set[Node]] = {n: set() for n in self.nodes}
-        for a, b in self.directed:
-            children[a].add(b)
-            parents[b].add(a)
-        for a, b in self.undirected:
-            neighbors[a].add(b)
-            neighbors[b].add(a)
-        self._parents = {n: tuple(sorted(s)) for n, s in parents.items()}
-        self._children = {n: tuple(sorted(s)) for n, s in children.items()}
-        self._neighbors = {n: tuple(sorted(s)) for n, s in neighbors.items()}
-        self._by_name = {n.name: n for n in self.nodes}
-        # Derived once, on first use: the step-relation components and the
-        # bitmask view.
+        self._parent_masks = parents
+        self._child_masks = children
+        self._neighbor_masks = neighbors
+        self._boundary_masks = [p | nb for p, nb in zip(parents, neighbors)]
+        # Derived once, on first use: the chain-component masks and the
+        # step-relation components.
+        self._chains: list[tuple[int, int]] | None = None
         self._roots: dict[Node, Node] | None = None
-        self._view: _MaskView | None = None
-
-    @staticmethod
-    def _check_edge(a: Node, b: Node, node_set: set[Node]) -> None:
-        if a not in node_set or b not in node_set:
-            raise GraphError(f"edge endpoint not in graph: {a!r} -- {b!r}")
-        if a == b:
-            raise GraphError(f"self-loop on {a!r}")
 
     @classmethod
     def from_props(cls,
@@ -170,7 +212,7 @@ class MixedGraph:
 
     def resolve(self, node: "Node | str") -> Node:
         if isinstance(node, Node):
-            if node not in self._parents:
+            if node not in self._index:
                 raise GraphError(f"unknown node {node!r}")
             return node
         found = self._by_name.get(node)
@@ -201,56 +243,80 @@ class MixedGraph:
         return (f"MixedGraph({len(self.nodes)} nodes, "
                 f"{len(self.directed)} directed, {len(self.undirected)} undirected)")
 
+    # -- masks -------------------------------------------------------------
+
+    def _position(self, node: "Node | str") -> int:
+        return self._index[self.resolve(node)]
+
+    def _mask(self, nodes: Iterable[Node]) -> int:
+        """The mask of nodes already resolved against this graph."""
+        out = 0
+        for n in nodes:
+            out |= 1 << self._index[n]
+        return out
+
+    def _members(self, mask: int) -> frozenset[Node]:
+        return frozenset(self.nodes[i] for i in _bits(mask))
+
+    @staticmethod
+    def _reach(mask: int, adj: list[int], through: int = -1) -> int:
+        """`mask` plus every node reached from it along `adj`.  The nodes of
+        `mask` are always expanded; a reached node is expanded only if it
+        lies in `through`."""
+        reached = frontier = mask
+        while frontier:
+            frontier = _union(adj, frontier) & ~reached
+            reached |= frontier
+            frontier &= through
+        return reached
+
+    def _ancestral(self, mask: int) -> int:
+        """The smallest ancestral superset of `mask`: its closure under
+        boundaries."""
+        return self._reach(mask, self._boundary_masks)
+
+    def _chain_masks(self) -> list[tuple[int, int]]:
+        """Each chain component's mask with the mask of its parents, in the
+        order of their lowest nodes; built on first use."""
+        if self._chains is None:
+            self._chains = []
+            left = (1 << len(self.nodes)) - 1
+            while left:
+                members = self._reach(left & -left, self._neighbor_masks)
+                self._chains.append((members, _union(self._parent_masks, members)))
+                left ^= members
+        return self._chains
+
     # -- local queries -----------------------------------------------------
 
     def parents(self, node: "Node | str") -> frozenset[Node]:
-        return frozenset(self._parents[self.resolve(node)])
+        return self._members(self._parent_masks[self._position(node)])
 
     def children(self, node: "Node | str") -> frozenset[Node]:
-        return frozenset(self._children[self.resolve(node)])
+        return self._members(self._child_masks[self._position(node)])
 
     def neighbors(self, node: "Node | str") -> frozenset[Node]:
-        return frozenset(self._neighbors[self.resolve(node)])
+        return self._members(self._neighbor_masks[self._position(node)])
 
     def boundary(self, node: "Node | str") -> frozenset[Node]:
         """parents ∪ neighbors."""
-        n = self.resolve(node)
-        return frozenset(self._parents[n]) | frozenset(self._neighbors[n])
+        return self._members(self._boundary_masks[self._position(node)])
 
     def boundary_of_set(self, nodes: Iterable["Node | str"]) -> frozenset[Node]:
         """Union of member boundaries, minus the set itself."""
-        ns = self.resolve_set(nodes)
-        out: set[Node] = set()
-        for n in ns:
-            out |= self.boundary(n)
-        return frozenset(out - ns)
+        mask = self._mask(self.resolve_set(nodes))
+        return self._members(_union(self._boundary_masks, mask) & ~mask)
 
     def smallest_ancestral_set(self, nodes: Iterable["Node | str"]) -> frozenset[Node]:
         """Close the set under boundaries until nothing is added."""
-        view = self._masks()
-        return frozenset(view.members(view.ancestral(view.mask(self.resolve_set(nodes)))))
+        return self._members(self._ancestral(self._mask(self.resolve_set(nodes))))
 
     # -- global structure --------------------------------------------------
 
     def chain_components(self) -> tuple[frozenset[Node], ...]:
         """Connected components of the undirected skeleton (singletons
         for nodes without undirected edges), in deterministic order."""
-        seen: set[Node] = set()
-        components: list[frozenset[Node]] = []
-        for start in self.nodes:
-            if start in seen:
-                continue
-            comp = {start}
-            queue = [start]
-            while queue:
-                n = queue.pop()
-                for m in self._neighbors[n]:
-                    if m not in comp:
-                        comp.add(m)
-                        queue.append(m)
-            seen |= comp
-            components.append(frozenset(comp))
-        return tuple(components)
+        return tuple(self._members(members) for members, _ in self._chain_masks())
 
     def _step_components(self) -> dict[Node, Node]:
         """Strongly connected components of the step relation (directed
@@ -259,35 +325,32 @@ class MixedGraph:
         Computed once per graph; callers must not modify the map."""
         if self._roots is not None:
             return self._roots
-        order: list[Node] = []
-        seen: set[Node] = set()
-        for start in self.nodes:
-            if start in seen:
+        steps = [c | nb for c, nb in zip(self._child_masks, self._neighbor_masks)]
+        order: list[int] = []
+        seen = 0
+        for start in range(len(self.nodes)):
+            if seen >> start & 1:
                 continue
-            seen.add(start)
-            stack = [(start, self._steps(start))]
+            seen |= 1 << start
+            stack = [start]
             while stack:
-                node, steps = stack[-1]
-                for v, _ in steps:
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append((v, self._steps(v)))
-                        break
+                left = steps[stack[-1]] & ~seen
+                if left:
+                    low = left & -left
+                    seen |= low
+                    stack.append(low.bit_length() - 1)
                 else:
-                    stack.pop()
-                    order.append(node)
+                    order.append(stack.pop())
+        # The boundaries (parents | neighbours) are the reversed steps.
         root: dict[Node, Node] = {}
+        assigned = 0
         for start in reversed(order):
-            if start in root:
+            if assigned >> start & 1:
                 continue
-            root[start] = start
-            frontier = [start]
-            while frontier:
-                node = frontier.pop()
-                for v in self._parents[node] + self._neighbors[node]:
-                    if v not in root:
-                        root[v] = start
-                        frontier.append(v)
+            component = self._reach(1 << start, self._boundary_masks, ~assigned) & ~assigned
+            assigned |= component
+            for i in _bits(component):
+                root[self.nodes[i]] = self.nodes[start]
         self._roots = root
         return root
 
@@ -308,53 +371,54 @@ class MixedGraph:
 
     # -- reachability ------------------------------------------------------
 
-    def _directed_path_reach(self, start: Node,
-                             forbidden_interior: frozenset[Node] = frozenset()) -> frozenset[Node]:
-        """Nodes reachable from `start` by a simple path containing at least
-        one directed edge, optionally barring a set of nodes from interior
-        positions (they may still terminate a path).
+    def _directed_path_reach(self, start: int, forbidden: int = 0) -> int:
+        """Mask of the nodes reachable from node `start` by a simple path
+        containing at least one directed edge, barring the nodes of
+        `forbidden` from interior positions (they may still end a path).
 
         Walk-based reachability is not sound here: a walk revisiting a node
         need not contain a *simple* directed path to its endpoint.  So this
-        backtracks over all simple paths; graphs at this library's scale
-        keep that affordable.
+        backtracks over all simple paths, depth first on an explicit stack
+        with one frame per path node: the path's mask, whether it has used a
+        directed edge, and the steps from its last node still to try (bit v
+        an undirected step to v, bit n + v a directed one).  Graphs at this
+        library's scale keep that affordable.
         """
-        start = self.resolve(start)
-        reached: set[Node] = set()
-        on_path = {start}
-
-        def dfs(u: Node, used_directed: bool) -> None:
-            for v, is_directed in self._steps(u):
-                if v in on_path:
-                    continue
-                used = used_directed or is_directed
-                if used:
-                    reached.add(v)
-                if v in forbidden_interior:
-                    continue
-                on_path.add(v)
-                dfs(v, used)
-                on_path.remove(v)
-
-        dfs(start, False)
-        reached.discard(start)
-        return frozenset(reached)
-
-    def _steps(self, u: Node) -> Iterator[tuple[Node, bool]]:
-        for v in self._children[u]:
-            yield v, True
-        for v in self._neighbors[u]:
-            yield v, False
+        n = len(self.nodes)
+        children, neighbors = self._child_masks, self._neighbor_masks
+        reached = 0
+        path = 1 << start
+        stack = [[path, False, (children[start] << n | neighbors[start]) & ~(path << n | path)]]
+        while stack:
+            frame = stack[-1]
+            steps = frame[2]
+            if not steps:
+                stack.pop()
+                continue
+            low = steps & -steps
+            frame[2] = steps ^ low
+            v = low.bit_length() - 1
+            used = frame[1]
+            if v >= n:
+                v -= n
+                used = True
+            if used:
+                reached |= 1 << v
+            if not forbidden >> v & 1:
+                path = frame[0] | 1 << v
+                stack.append([path, used,
+                              (children[v] << n | neighbors[v]) & ~(path << n | path)])
+        return reached
 
     def descendants(self, node: "Node | str") -> frozenset[Node]:
         """Nodes reachable from `node` by a directed path."""
-        return self._directed_path_reach(self.resolve(node))
+        return self._members(self._directed_path_reach(self._position(node)))
 
     def strict_descendants(self, node: "Node | str") -> frozenset[Node]:
         """Descendants reachable by a directed path whose intermediate
         nodes all avoid the boundary of `node` (the endpoint may not)."""
-        n = self.resolve(node)
-        return self._directed_path_reach(n, forbidden_interior=self.boundary(n))
+        i = self._position(node)
+        return self._members(self._directed_path_reach(i, self._boundary_masks[i]))
 
     # -- derived graphs ----------------------------------------------------
 
@@ -366,11 +430,33 @@ class MixedGraph:
             [(a, b) for a, b in self.undirected if a in keep and b in keep],
         )
 
+    def _moral(self, ancestral: int) -> list[int]:
+        """Adjacency masks of the moral graph of G[ancestral], one per node
+        (0 outside the set); `ancestral` must be closed under boundaries."""
+        adj = [0] * len(self.nodes)
+        for members, parents in self._chain_masks():
+            if members & ancestral:
+                for i in _bits(parents):
+                    adj[i] |= parents
+        for i in _bits(ancestral):
+            adj[i] = (adj[i] | self._boundary_masks[i]
+                      | self._child_masks[i] & ancestral) & ~(1 << i)
+        return adj
+
+    def _moral_graph(self, ancestral: int) -> "MixedGraph":
+        """The moral graph of G[ancestral] as an undirected MixedGraph."""
+        adj = self._moral(ancestral)
+        return MixedGraph(
+            self._members(ancestral), (),
+            [(self.nodes[i], self.nodes[j])
+             for i in _bits(ancestral) for j in _bits(adj[i] >> i << i)],
+        )
+
     def moral_graph(self) -> "MixedGraph":
         """Undirected graph joining every pair of nodes with children in a
         common chain component, then dropping all directions (a bi-directed
         pair collapses to a single undirected edge)."""
-        return self._masks().moral_graph((1 << len(self.nodes)) - 1)
+        return self._moral_graph((1 << len(self.nodes)) - 1)
 
     def gma(self,
             n1: Iterable["Node | str"],
@@ -380,8 +466,7 @@ class MixedGraph:
         containing n1 ∪ n2 ∪ n3."""
         s1, s2, s3 = self.resolve_set(n1), self.resolve_set(n2), self.resolve_set(n3)
         _check_disjoint(s1, s2, s3)
-        view = self._masks()
-        return view.moral_graph(view.ancestral(view.mask(s1 | s2 | s3)))
+        return self._moral_graph(self._ancestral(self._mask(s1 | s2 | s3)))
 
     def separates(self,
                   n1: Iterable["Node | str"],
@@ -392,127 +477,25 @@ class MixedGraph:
             raise GraphError("separation is defined on undirected graphs only")
         s1, s2, s3 = self.resolve_set(n1), self.resolve_set(n2), self.resolve_set(n3)
         _check_disjoint(s1, s2, s3)
-        view = self._masks()
-        return view.separated(view.neighbors, view.mask(s1), view.mask(s3), view.mask(s2))
-
-    def _masks(self) -> "_MaskView":
-        """The bitmask view of this graph, built on first use."""
-        if self._view is None:
-            self._view = _MaskView(self)
-        return self._view
+        return _separated(self._neighbor_masks, self._mask(s1), self._mask(s3), self._mask(s2))
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-class _MaskView:
-    """A graph's nodes as bit positions and its adjacency as int bitmasks,
-    so that global-condition queries allocate no graph.
-
-    Bit i stands for `nodes[i]`.  `parents`, `children`, `neighbors` and
-    `boundary` hold one mask per node, and `components` pairs each chain
-    component's mask with the mask of its parents: every node with a child
-    in the component, members included.
-
-    Moralization rule, stated here once: in the moral graph two nodes are
-    adjacent when an edge of either kind joins them, or when both have a
-    child in one chain component.
-
-    `moral(A)` reads the moral graph of the induced subgraph G[A] straight
-    off the full-graph masks when A is ancestral, i.e. closed under parents
-    and neighbours.  This is sound:
-
-    * closure under neighbours makes every chain component of G lie wholly
-      inside A or wholly outside it, so the chain components of G[A] are
-      exactly the components of G inside A;
-    * closure under parents puts every parent of such a component in A, so
-      its parents in G[A] are its parents in G;
-    * an edge from a node of A to one of its parents or neighbours stays
-      inside A, so only children need cutting down to A.
-    """
-
-    __slots__ = ("nodes", "bit", "parents", "children", "neighbors", "boundary",
-                 "components")
-
-    def __init__(self, g: MixedGraph):
-        self.nodes = g.nodes
-        self.bit = {n: 1 << i for i, n in enumerate(g.nodes)}
-        self.parents = [self.mask(g._parents[n]) for n in g.nodes]
-        self.children = [self.mask(g._children[n]) for n in g.nodes]
-        self.neighbors = [self.mask(g._neighbors[n]) for n in g.nodes]
-        self.boundary = [p | nb for p, nb in zip(self.parents, self.neighbors)]
-        self.components: list[tuple[int, int]] = []
-        for component in g.chain_components():
-            members = self.mask(component)
-            parents = 0
-            for i in _bits(members):
-                parents |= self.parents[i]
-            self.components.append((members, parents))
-
-    def mask(self, nodes: Iterable[Node]) -> int:
-        out = 0
-        for n in nodes:
-            out |= self.bit[n]
-        return out
-
-    def members(self, mask: int) -> list[Node]:
-        return [self.nodes[i] for i in _bits(mask)]
-
-    def ancestral(self, mask: int) -> int:
-        """The smallest ancestral superset of `mask`: add the boundaries of
-        the newly added nodes until nothing changes."""
-        frontier = mask
-        while frontier:
-            grown = 0
-            for i in _bits(frontier):
-                grown |= self.boundary[i]
-            frontier = grown & ~mask
-            mask |= frontier
-        return mask
-
-    def moral(self, ancestral: int) -> list[int]:
-        """Adjacency masks of the moral graph of G[ancestral], one per node
-        (0 outside the set); `ancestral` must be closed under boundaries."""
-        adj = [0] * len(self.nodes)
-        for members, parents in self.components:
-            if members & ancestral:
-                for i in _bits(parents):
-                    adj[i] |= parents
-        for i in _bits(ancestral):
-            adj[i] = (adj[i] | self.boundary[i] | self.children[i] & ancestral) & ~(1 << i)
-        return adj
-
-    def moral_graph(self, ancestral: int) -> MixedGraph:
-        """The moral graph of G[ancestral] as an undirected MixedGraph."""
-        adj = self.moral(ancestral)
-        return MixedGraph(
-            self.members(ancestral), (),
-            [(self.nodes[i], self.nodes[j])
-             for i in _bits(ancestral) for j in _bits(adj[i] >> i << i)],
-        )
-
-    @staticmethod
-    def separated(adj: list[int], a: int, b: int, cut: int) -> bool:
-        """Whether no path of the undirected graph with adjacency `adj`
-        joins `a` to `b` avoiding `cut` (the three sets disjoint): a
-        breadth-first search from `a` that never enters `cut`."""
-        reached = frontier = a
-        while frontier:
-            step = 0
-            while frontier:  # _bits inlined: this loop is the hot path
-                low = frontier & -frontier
-                step |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = step & ~(reached | cut)
-            if frontier & b:
-                return False
-            reached |= frontier
-        return True
+def _separated(adj: list[int], a: int, b: int, cut: int) -> bool:
+    """Whether no path of the undirected graph with adjacency `adj` joins
+    `a` to `b` avoiding `cut` (the three sets disjoint): a breadth-first
+    search from `a` that never enters `cut`."""
+    reached = frontier = a
+    while frontier:
+        step = 0
+        while frontier:  # _union inlined: this loop is the hot path
+            low = frontier & -frontier
+            step |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~(reached | cut)
+        if frontier & b:
+            return False
+        reached |= frontier
+    return True
 
 
 def _check_disjoint(*sets: frozenset[Node]) -> None:

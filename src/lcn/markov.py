@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 
 from .build import lcn_descendants, lcn_parents
 from .errors import GraphError
-from .graph import MixedGraph, Node, _check_disjoint
+from .graph import MixedGraph, Node, _check_disjoint, _separated
 
 LMC_LCN = "lmc-lcn"
 LMC_C = "lmc-c"
@@ -139,9 +139,8 @@ def gmc_implies(g: MixedGraph,
     if not s1 or not s3:
         raise GraphError("both outer sets of an independence query must be nonempty")
     _check_disjoint(s1, s2, s3)
-    view = g._masks()
-    m1, m2, m3 = view.mask(s1), view.mask(s2), view.mask(s3)
-    return view.separated(view.moral(view.ancestral(m1 | m2 | m3)), m1, m3, m2)
+    m1, m2, m3 = g._mask(s1), g._mask(s2), g._mask(s3)
+    return _separated(g._moral(g._ancestral(m1 | m2 | m3)), m1, m3, m2)
 
 
 def enumerate_gmc(g: MixedGraph,
@@ -151,7 +150,7 @@ def enumerate_gmc(g: MixedGraph,
     """All statements X ⊥ Y | Z (|X| ≤ max_x, |Y| ≤ max_y, |Z| ≤ max_z) the
     global condition implies, as a canonical set.
 
-    Every triple is one query on the graph's bitmask view.  The smallest
+    Every triple is one query on the graph's node bitmasks.  The smallest
     ancestral set of a union is the union of the members' ones, so it is
     tabled for every node subset; the moral graph is built once per
     distinct ancestral set.  Cost grows steeply with the node count and the
@@ -171,11 +170,10 @@ def enumerate_gmc(g: MixedGraph,
         )
     if max_y is None:
         max_y = n
-    view = g._masks()
     closure = [0] * (1 << n)
     names: list[tuple[str, ...]] = [()] * (1 << n)
     for i, node in enumerate(g.nodes):
-        closure[1 << i] = view.ancestral(1 << i)
+        closure[1 << i] = g._ancestral(1 << i)
         names[1 << i] = (node.name,)
     for m in range(1, 1 << n):
         low = m & -m
@@ -192,8 +190,8 @@ def enumerate_gmc(g: MixedGraph,
                 ancestral = base | closure[y]
                 adj = moral.get(ancestral)
                 if adj is None:
-                    adj = moral[ancestral] = view.moral(ancestral)
-                if view.separated(adj, x, y, z):
+                    adj = moral[ancestral] = g._moral(ancestral)
+                if _separated(adj, x, y, z):
                     out.add(IndependenceStatement(names[x], names[y], names[z]))
     return frozenset(out)
 

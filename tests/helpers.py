@@ -449,6 +449,82 @@ def chain_strict_descendants_ref(g: MixedGraph, node) -> set:
     return out
 
 
+def directed_path_reach_ref(g: MixedGraph, start,
+                            forbidden_interior: frozenset = frozenset()) -> frozenset:
+    """Nodes reachable from `start` by a simple path containing at least one
+    directed edge, with `forbidden_interior` barred from interior positions
+    (they may still end a path): one recursive call per path node, over
+    steps read off the edge sets."""
+    start = g.resolve(start)
+    steps: dict = {n: [] for n in g.nodes}
+    for a, b in g.directed:
+        steps[a].append((b, True))
+    for a, b in g.undirected:
+        steps[a].append((b, False))
+        steps[b].append((a, False))
+    reached = set()
+    on_path = {start}
+
+    def dfs(u, used_directed: bool) -> None:
+        for v, is_directed in steps[u]:
+            if v in on_path:
+                continue
+            used = used_directed or is_directed
+            if used:
+                reached.add(v)
+            if v in forbidden_interior:
+                continue
+            on_path.add(v)
+            dfs(v, used)
+            on_path.remove(v)
+
+    dfs(start, False)
+    reached.discard(start)
+    return frozenset(reached)
+
+
+def lcn_parents_ref(dep: MixedGraph, node) -> frozenset:
+    """Set-based `lcn_parents`: a search up the parents that walks through
+    formula nodes and stops at propositions."""
+    target = dep.resolve(node)
+    found = set()
+    seen = {target}
+    queue = [target]
+    while queue:
+        n = queue.pop()
+        for p in dep.parents(n):
+            if p in seen:
+                continue
+            seen.add(p)
+            if p.kind == "formula":
+                queue.append(p)
+            else:
+                found.add(p)
+    found.discard(target)
+    return frozenset(found)
+
+
+def lcn_descendants_ref(dep: MixedGraph, node) -> frozenset:
+    """Set-based `lcn_descendants`: a search down the children that reports
+    the lcn-parents of `node` but never expands them."""
+    start = dep.resolve(node)
+    blocked = lcn_parents_ref(dep, start)
+    reached = set()
+    seen = {start}
+    queue = [start]
+    while queue:
+        n = queue.pop()
+        for child in dep.children(n):
+            if child in seen:
+                continue
+            seen.add(child)
+            reached.add(child)
+            if child not in blocked:
+                queue.append(child)
+    reached.discard(start)
+    return frozenset(n for n in reached if n.kind == "prop")
+
+
 def gma_ref(g: MixedGraph, n1, n2, n3) -> MixedGraph:
     """The moral graph of the smallest ancestral set, built straight-line:
     a set-based closure under boundaries, the induced subgraph, then the

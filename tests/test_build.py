@@ -253,6 +253,15 @@ def test_lcn_parents_equal_structure_boundary(seed):
         assert lcn_parents(dep, p) == s.boundary(p)
 
 
+@settings(max_examples=80, deadline=None)
+@given(helpers.st_random_lcn(), st.sampled_from(["semantic", "syntactic"]))
+def test_lcn_walks_match_set_based_reference(lcn, merge):
+    dep = dependency_graph(lcn, merge=merge)
+    for p in lcn.props:
+        assert lcn_parents(dep, p) == helpers.lcn_parents_ref(dep, p)
+        assert lcn_descendants(dep, p) == helpers.lcn_descendants_ref(dep, p)
+
+
 WIDE_MODEL = ("U: 0.1 <= P(" + " | ".join(f"X{i}" for i in range(14)) + ") <= 0.9\n"
               "D: 0.2 <= P(X0 & X1) <= 0.5\n")
 

@@ -152,6 +152,19 @@ def test_indep_text_statements_sorted(capsys):
     ]
 
 
+def test_indep_on_a_long_chain_without_traceback(tmp_path):
+    model = write(tmp_path, "chain1200.lcn",
+                  "".join(f"D: P(N{i + 1} given N{i}) = 0.5\n" for i in range(1, 1201)))
+    env = dict(os.environ, PYTHONPATH=str(Path(lcn.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "lcn", "indep", model, "--condition", "lmc-d"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1199
+    assert "N1 _||_ N3 | N2" in lines
+
+
 def test_indep_json_reports_default_graph(capsys):
     assert main(["indep", QUAD_MIXED, "--condition", "lmc-d", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)

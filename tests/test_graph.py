@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +23,11 @@ from helpers import (
     und,
     und_names,
 )
+import lcn
 from lcn.errors import GraphError
 from lcn.formula import And, Prop, parse_formula
 from lcn.graph import MixedGraph, formula_node, prop_node, super_node, to_dot, to_json_dict
+from lcn.markov import weak_descendants
 
 
 def names(nodes) -> set[str]:
@@ -219,6 +222,36 @@ def test_chain_graph_descendants_match_component_reference(seed, n):
             chain_strict_descendants_ref(g, node))
 
 
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 8), st.sampled_from([0.12, 0.3]))
+def test_descendants_match_simple_path_reference(seed, n, density):
+    g = random_mixed_graph(random.Random(seed), n, density, density, density / 3)
+    for node in g.nodes:
+        assert g.descendants(node) == helpers.directed_path_reach_ref(g, node)
+        assert g.strict_descendants(node) == helpers.directed_path_reach_ref(
+            g, node, g.boundary(node))
+
+
+def test_long_directed_path_answers_at_the_default_recursion_limit():
+    # A 1,500-node directed path N0 -> ... -> N1499 with one undirected edge
+    # M ~ N0 at its head: from M every directed path leaves through N0,
+    # which is in M's boundary, so all of M's descendants are weak.
+    chain = [f"N{i}" for i in range(1500)]
+    g = MixedGraph.from_props(["M"] + chain, list(zip(chain, chain[1:])), [("M", "N0")])
+    tail = set(chain[1:])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert names(g.descendants("N0")) == tail
+        assert names(g.strict_descendants("N0")) == tail
+        assert weak_descendants(g, "N0") == frozenset()
+        assert names(g.descendants("M")) == tail
+        assert g.strict_descendants("M") == frozenset()
+        assert names(weak_descendants(g, "M")) == tail
+    finally:
+        sys.setrecursionlimit(limit)
+
 # ---------------------------------------------------------------------------
 # Induced subgraphs and moralization
 
@@ -294,6 +327,37 @@ def test_separates():
     with pytest.raises(GraphError, match="undirected"):
         quad_dag().separates({"A"}, set(), {"C"})
 
+
+
+# The benchmark's tracer rebinds several of these methods by name, so
+# removing or renaming one breaks traced runs as well as callers.
+PUBLIC_GRAPH_METHODS = [
+    "boundary", "boundary_of_set", "chain_components", "children", "descendants",
+    "from_props", "gma", "has_directed_cycle", "induced_subgraph", "is_chain_graph",
+    "moral_graph", "neighbors", "parents", "resolve", "resolve_set", "separates",
+    "smallest_ancestral_set", "strict_descendants",
+]
+
+PUBLIC_PACKAGE_NAMES = [
+    "ComparisonReport", "Constraint", "FactorizationPlan", "Formula", "GMC_C",
+    "GraphError", "IndependenceStatement", "JointTable", "LMC_C", "LMC_CSTR", "LMC_D",
+    "LMC_LCN", "Lcn", "LcnError", "MixedGraph", "ModelError", "Node", "ParseError",
+    "PruneReport", "build", "canonical_key", "check_constraint", "check_independence",
+    "check_model", "compare_conditions", "component_dag", "cond_prob", "condense_cycles",
+    "dependency_graph", "enumerate_gmc", "errors", "eval_formula", "factorization_plan",
+    "factorize", "format_formula", "format_lcn", "formula", "gmc_implies", "graph",
+    "lcn_descendants", "lcn_parents", "local_statements", "make_lcn", "markov",
+    "mixed_structure", "model", "oracle", "parse_formula", "parse_lcn", "prob",
+    "prop_node", "prune_hard_constraints", "sample_chain_factorized",
+    "sample_positive_table", "semantically_equal", "separation_bruteforce",
+    "statement_decomposes", "structure", "support", "to_dot", "to_json_dict",
+    "validate", "weak_descendants",
+]
+
+
+def test_public_graph_surface_is_pinned():
+    assert sorted(n for n in dir(MixedGraph) if not n.startswith("_")) == PUBLIC_GRAPH_METHODS
+    assert sorted(lcn.__all__) == PUBLIC_PACKAGE_NAMES
 
 # ---------------------------------------------------------------------------
 # Serialization
