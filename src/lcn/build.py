@@ -27,7 +27,7 @@ from .formula import (
     key_as_single_prop,
     support,
 )
-from .graph import MixedGraph, Node, formula_node, prop_node
+from .graph import MixedGraph, Node, _collapse_bidirected, formula_node, prop_node
 from .model import Lcn
 
 
@@ -144,13 +144,7 @@ def structure(lcn: Lcn) -> MixedGraph:
     edge.
     """
     g = mixed_structure(lcn)
-    directed = set(g.directed)
-    undirected = set(g.undirected)
-    for a, b in g.directed:
-        if (b, a) in directed:
-            undirected.add((a, b) if a < b else (b, a))
-    directed = {(a, b) for a, b in directed if (b, a) not in g.directed}
-    return MixedGraph(g.nodes, directed, undirected)
+    return _collapse_bidirected(g.nodes, g.directed, g.undirected)
 
 
 def mixed_structure(lcn: Lcn) -> MixedGraph:
@@ -187,12 +181,21 @@ def _formula_mask(dep: MixedGraph) -> int:
     return dep._mask(n for n in dep.nodes if n.kind == "formula")
 
 
+def _parents_mask(dep: MixedGraph, bit: int, formulas: int) -> int:
+    """The lcn-parents of the proposition `bit`, as a mask."""
+    return dep._reach(bit, dep._parent_masks, formulas) & ~(formulas | bit)
+
+
+def _descendants_mask(dep: MixedGraph, bit: int, parents: int, formulas: int) -> int:
+    """The lcn-descendants of the proposition `bit`, as a mask."""
+    return dep._reach(bit, dep._child_masks, ~parents) & ~(formulas | bit)
+
+
 def lcn_parents(dep: MixedGraph, node) -> frozenset[Node]:
     """Propositions with a directed path to `node` passing only through
     formula-nodes."""
-    target = dep._mask([_require_prop(dep, node)])
-    formulas = _formula_mask(dep)
-    return dep._members(dep._reach(target, dep._parent_masks, formulas) & ~(formulas | target))
+    bit = dep._mask([_require_prop(dep, node)])
+    return dep._members(_parents_mask(dep, bit, _formula_mask(dep)))
 
 
 def lcn_descendants(dep: MixedGraph, node) -> frozenset[Node]:
@@ -206,8 +209,6 @@ def lcn_descendants(dep: MixedGraph, node) -> frozenset[Node]:
     condition on the structure: a proposition kept out of a node's
     remainder by blocking is exactly one sitting in its boundary.
     """
-    start = _require_prop(dep, node)
-    blocked = dep._mask(lcn_parents(dep, start))
-    bit = dep._mask([start])
-    reached = dep._reach(bit, dep._child_masks, ~blocked)
-    return dep._members(reached & ~(_formula_mask(dep) | bit))
+    bit = dep._mask([_require_prop(dep, node)])
+    formulas = _formula_mask(dep)
+    return dep._members(_descendants_mask(dep, bit, _parents_mask(dep, bit, formulas), formulas))

@@ -28,7 +28,7 @@ from .formula import (
     canonical_key,
     truth_mask,
 )
-from .graph import MixedGraph, Node, _undirected_key, super_node
+from .graph import MixedGraph, Node, _collapse_bidirected, _undirected_key, super_node
 from .model import Lcn, format_constraint
 
 
@@ -172,13 +172,8 @@ def condense_cycles(g: MixedGraph) -> tuple[MixedGraph, dict[Node, Node]]:
 
     directed = {(mapping[a], mapping[b]) for a, b in g.directed
                 if mapping[a] != mapping[b]}
-    undirected = {_undirected_key(mapping[a], mapping[b]) for a, b in g.undirected
-                  if mapping[a] != mapping[b]}
-    bidirected = {(a, b) for a, b in directed if (b, a) in directed}
-    for a, b in bidirected:
-        undirected.add(_undirected_key(a, b))
-    directed -= bidirected
-    return MixedGraph(set(mapping.values()), directed, undirected), mapping
+    undirected = [(mapping[a], mapping[b]) for a, b in g.undirected if mapping[a] != mapping[b]]
+    return _collapse_bidirected(set(mapping.values()), directed, undirected), mapping
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, MutableMapping, MutableSet, Union
+from typing import Mapping
 
 from .errors import ParseError, LcnError
 
@@ -167,34 +167,19 @@ class TokenStream:
         return self.current.kind == "ident" and self.current.text == word
 
 
-Scope = Union[MutableSet[str], MutableMapping[str, None], None]
-
-
-def _declare(scope: Scope, name: str) -> None:
-    if scope is None:
-        return
-    if isinstance(scope, MutableMapping) or isinstance(scope, dict):
-        scope.setdefault(name)  # type: ignore[union-attr]
-    else:
-        scope.add(name)
-
-
-def _in_scope(scope: Scope, name: str) -> bool:
-    if scope is None:
-        return True
-    return name in scope
-
-
-def parse_formula(text: str, scope: Scope = None, *, declare: bool = True) -> Formula:
+def parse_formula(text: str, scope: dict[str, None] | None = None, *,
+                  declare: bool = True) -> Formula:
     """Parse `text` into a Formula.
 
-    `scope` is an optional collection of known proposition names (a set, or
-    a dict used as an ordered set).  Identifiers missing from the scope are
-    added to it when `declare` is true and rejected otherwise.  With no
-    scope every identifier is accepted.
+    `scope` is an optional dict of known proposition names, used as an
+    ordered set.  Identifiers missing from the scope are added to it when
+    `declare` is true and rejected otherwise.  With no scope every
+    identifier is accepted.
     """
     if not text.strip():
         raise ParseError("empty formula")
+    if scope is None:
+        scope, declare = {}, True
     stream = TokenStream(tokenize(text))
     formula = _parse_or(stream, scope, declare)
     tok = stream.current
@@ -203,7 +188,7 @@ def parse_formula(text: str, scope: Scope = None, *, declare: bool = True) -> Fo
     return formula
 
 
-def _parse_or(stream: TokenStream, scope: Scope, declare: bool) -> Formula:
+def _parse_or(stream: TokenStream, scope: dict[str, None], declare: bool) -> Formula:
     node = _parse_and(stream, scope, declare)
     while stream.at_op("|"):
         stream.advance()
@@ -211,7 +196,7 @@ def _parse_or(stream: TokenStream, scope: Scope, declare: bool) -> Formula:
     return node
 
 
-def _parse_and(stream: TokenStream, scope: Scope, declare: bool) -> Formula:
+def _parse_and(stream: TokenStream, scope: dict[str, None], declare: bool) -> Formula:
     node = _parse_unary(stream, scope, declare)
     while stream.at_op("&"):
         stream.advance()
@@ -219,7 +204,7 @@ def _parse_and(stream: TokenStream, scope: Scope, declare: bool) -> Formula:
     return node
 
 
-def _parse_unary(stream: TokenStream, scope: Scope, declare: bool) -> Formula:
+def _parse_unary(stream: TokenStream, scope: dict[str, None], declare: bool) -> Formula:
     tok = stream.current
     negations = 0
     while tok.kind == "op" and tok.text == "!":
@@ -244,9 +229,9 @@ def _parse_unary(stream: TokenStream, scope: Scope, declare: bool) -> Formula:
             raise ParseError(f"{tok.text!r} is a reserved word and cannot name a proposition",
                              column=tok.column)
         elif declare:
-            _declare(scope, tok.text)
+            scope.setdefault(tok.text)
             node = Prop(tok.text)
-        elif not _in_scope(scope, tok.text):
+        elif tok.text not in scope:
             raise ParseError(f"undeclared proposition {tok.text!r}", column=tok.column)
         else:
             node = Prop(tok.text)

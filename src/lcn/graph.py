@@ -480,6 +480,14 @@ class MixedGraph:
         return _separated(self._neighbor_masks, self._mask(s1), self._mask(s3), self._mask(s2))
 
 
+def _collapse_bidirected(nodes: Iterable[Node], directed: set[Edge] | frozenset[Edge],
+                         undirected: Iterable[Edge]) -> MixedGraph:
+    """The graph with each pair of opposite directed edges replaced by one
+    undirected edge."""
+    bidirected = {(a, b) for a, b in directed if (b, a) in directed}
+    return MixedGraph(nodes, directed - bidirected, [*undirected, *bidirected])
+
+
 def _separated(adj: list[int], a: int, b: int, cut: int) -> bool:
     """Whether no path of the undirected graph with adjacency `adj` joins
     `a` to `b` avoiding `cut` (the three sets disjoint): a breadth-first

@@ -25,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .build import lcn_descendants, lcn_parents
+from .build import _descendants_mask, _formula_mask, _parents_mask, _require_prop
 from .errors import GraphError
-from .graph import MixedGraph, Node, _check_disjoint, _separated
+from .graph import MixedGraph, Node, _bits, _check_disjoint, _separated
 
 LMC_LCN = "lmc-lcn"
 LMC_C = "lmc-c"
@@ -79,14 +79,6 @@ class IndependenceStatement:
         return {"x": list(self.x), "y": list(self.y), "z": list(self.z)}
 
 
-def _variables(g: MixedGraph) -> tuple[Node, ...]:
-    return tuple(n for n in g.nodes if n.kind != "formula")
-
-
-def _names(nodes: Iterable[Node]) -> tuple[str, ...]:
-    return tuple(sorted(n.name for n in nodes))
-
-
 def _require_variable_graph(g: MixedGraph, condition: str) -> None:
     if any(n.kind == "formula" for n in g.nodes):
         raise GraphError(
@@ -102,25 +94,29 @@ def local_statements(g: MixedGraph, condition: str) -> frozenset[IndependenceSta
     if condition != LMC_LCN:
         _require_variable_graph(g, condition)
 
-    variables = _variables(g)
-    var_set = frozenset(variables)
+    formulas = _formula_mask(g)
+    variables = ((1 << len(g.nodes)) - 1) & ~formulas
+    nodes = g.nodes
     out: set[IndependenceStatement] = set()
-    for a in variables:
+    for i in _bits(variables):
         if condition == LMC_LCN:
-            given = lcn_parents(g, a)
-            excluded = lcn_descendants(g, a)
-        elif condition == LMC_CSTR:
-            given = g.boundary(a)
-            excluded = g.strict_descendants(a)
-        elif condition == LMC_C:
-            given = g.boundary(a)
-            excluded = g.descendants(a)
-        else:  # LMC_D
-            given = g.parents(a)
-            excluded = g.descendants(a)
-        rest = var_set - {a} - (excluded & var_set) - given
+            _require_prop(g, nodes[i])
+            given = _parents_mask(g, 1 << i, formulas)
+            excluded = _descendants_mask(g, 1 << i, given, formulas)
+        elif condition == LMC_D:
+            given = g._parent_masks[i]
+            excluded = g._directed_path_reach(i)
+        else:  # LMC_C, LMC_CSTR: the boundary is the given side
+            given = g._boundary_masks[i]
+            excluded = g._directed_path_reach(i, given if condition == LMC_CSTR else 0)
+        rest = variables & ~(given | excluded | 1 << i)
         if rest:
-            out.add(IndependenceStatement((a.name,), _names(rest), _names(given)))
+            # Lists: the statement sorts them into tuples of known length.  A
+            # tuple grown from a generator is resized, and those filled the
+            # tuple free lists (+4 MB peak RSS over 6,000 indep-graphs ops).
+            out.add(IndependenceStatement((nodes[i].name,),
+                                          [nodes[j].name for j in _bits(rest)],
+                                          [nodes[j].name for j in _bits(given)]))
     return frozenset(out)
 
 

@@ -76,11 +76,15 @@ class JointTable:
 
 def table_from_json_dict(data: Mapping) -> JointTable:
     try:
-        props = tuple(str(p) for p in data["props"])
-        probs = tuple(float(q) for q in data["probs"])
+        props, probs = data["props"], data["probs"]
+        if not isinstance(props, list) or not all(isinstance(p, str) for p in props):
+            raise TypeError("'props' must be a list of strings")
+        if not isinstance(probs, list) or any(isinstance(q, bool) for q in probs):
+            raise TypeError("'probs' must be a list of numbers")
+        probs = [float(q) for q in probs]
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed table JSON: {exc}") from None
-    return JointTable(props, probs)
+    return JointTable(tuple(props), tuple(probs))
 
 
 def _project(props: Sequence[str], names: Sequence[str]) -> list[int]:

@@ -525,6 +525,34 @@ def lcn_descendants_ref(dep: MixedGraph, node) -> frozenset:
     return frozenset(n for n in reached if n.kind == "prop")
 
 
+def local_statements_ref(g: MixedGraph, condition: str) -> frozenset:
+    """Set-based `local_statements`: per variable node, the remainder as
+    node-set arithmetic, with parents, boundaries and descendants read off
+    the edge sets through the set-based walks above."""
+    variables = frozenset(n for n in g.nodes if n.kind != "formula")
+    out = set()
+    for a in variables:
+        parents = {u for u, v in g.directed if v == a}
+        boundary = parents | {v for e in g.undirected if a in e for v in e if v != a}
+        if condition == "lmc-lcn":
+            given = lcn_parents_ref(g, a)
+            excluded = lcn_descendants_ref(g, a)
+        elif condition == "lmc-cstr":
+            given = boundary
+            excluded = directed_path_reach_ref(g, a, frozenset(boundary))
+        elif condition == "lmc-c":
+            given = boundary
+            excluded = directed_path_reach_ref(g, a)
+        else:  # lmc-d
+            given = parents
+            excluded = directed_path_reach_ref(g, a)
+        rest = variables - {a} - (excluded & variables) - given
+        if rest:
+            out.add(IndependenceStatement((a.name,), tuple(n.name for n in rest),
+                                          tuple(n.name for n in given)))
+    return frozenset(out)
+
+
 def gma_ref(g: MixedGraph, n1, n2, n3) -> MixedGraph:
     """The moral graph of the smallest ancestral set, built straight-line:
     a set-based closure under boundaries, the induced subgraph, then the

@@ -321,6 +321,20 @@ def test_check_dist_pass_and_fail(tmp_path, capsys):
     assert "violated" in out and "margin=0.200000" in out
 
 
+@pytest.mark.parametrize("data", [
+    {"props": "AB", "probs": [0.1, 0.2, 0.3, 0.4]},
+    {"props": ["A", 1], "probs": [0.1, 0.2, 0.3, 0.4]},
+    {"props": ["A"], "probs": [True, False]},
+])
+def test_check_dist_rejects_malformed_table(tmp_path, capsys, data):
+    table = write(tmp_path, "t.json", json.dumps(data))
+    model = write(tmp_path, "m.lcn", "U: 0.5 <= P(A) <= 0.7\n")
+    assert main(["check-dist", table, model]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed table JSON: ")
+
+
 def test_check_dist_strict_flag(tmp_path, capsys):
     table = write(tmp_path, "t.json", json.dumps(
         {"props": ["A", "B"], "probs": [0.5, 0.5, 0.0, 0.0]}))

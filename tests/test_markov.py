@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ import helpers
 from helpers import stmt, stmt_strs
 from lcn.build import dependency_graph, mixed_structure, structure
 from lcn.errors import GraphError
+from lcn.factorize import condense_cycles
 from lcn.graph import MixedGraph, formula_node, prop_node
 from lcn.markov import (
     CONDITIONS,
@@ -151,6 +153,33 @@ def test_non_lcn_conditions_reject_formula_nodes(smokers):
     for condition in (LMC_C, LMC_CSTR, LMC_D):
         with pytest.raises(GraphError, match="mismatch"):
             local_statements(dep, condition)
+
+
+# Directed cycles are common at this density.
+dense_mixed_graph = functools.partial(helpers.random_mixed_graph, p_dir=0.25, p_und=0.2, p_bi=0.1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([helpers.random_chain_graph, helpers.random_mixed_graph,
+                        dense_mixed_graph]),
+       st.integers(1, 8), st.integers(0, 10**6), st.sampled_from([LMC_C, LMC_CSTR, LMC_D]))
+def test_local_statements_match_set_based_reference(family, n, seed, condition):
+    g = family(random.Random(seed), n)
+    assert local_statements(g, condition) == helpers.local_statements_ref(g, condition)
+
+
+@settings(max_examples=60, deadline=None)
+@given(helpers.st_random_lcn(), st.sampled_from(["semantic", "syntactic"]))
+def test_lmc_lcn_matches_set_based_reference(lcn, merge):
+    for g in (dependency_graph(lcn, merge=merge), structure(lcn)):
+        assert local_statements(g, LMC_LCN) == helpers.local_statements_ref(g, LMC_LCN)
+
+
+def test_lmc_lcn_rejects_super_nodes(bidirected_block_model):
+    g, _ = condense_cycles(mixed_structure(bidirected_block_model))
+    with pytest.raises(GraphError) as info:
+        local_statements(g, LMC_LCN)
+    assert str(info.value) == "expected a proposition-node, got Node(super:{b,c,d})"
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,18 @@ def test_table_json_malformed():
         table_from_json_dict({"props": ["A"], "probs": ["x", "y"]})
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"props": "AB", "probs": [0.25] * 4}, "'props' must be a list of strings"),
+    ({"props": ["A", 1], "probs": [0.25] * 4}, "'props' must be a list of strings"),
+    ({"props": ["A"], "probs": [True, False]}, "'probs' must be a list of numbers"),
+    ({"props": ["A"], "probs": "01"}, "'probs' must be a list of numbers"),
+])
+def test_table_json_rejects_wrong_types(data, message):
+    with pytest.raises(ModelError) as info:
+        table_from_json_dict(data)
+    assert str(info.value) == f"malformed table JSON: {message}"
+
+
 def test_table_validation():
     with pytest.raises(ModelError, match="must be distinct"):
         JointTable(("A", "A"), (0.25,) * 4)
