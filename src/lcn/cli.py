@@ -21,25 +21,31 @@ to color check results.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import build, factorize, markov, oracle
 from .errors import LcnError
-from .graph import MixedGraph, to_dot, to_json_dict
 from .model import Lcn, format_constraint, format_lcn, parse_lcn, validate
+
+if TYPE_CHECKING:
+    from .factorize import FactorizationPlan
+    from .graph import MixedGraph
+
+# Each subcommand imports the layers it runs, so that `lcn parse` never
+# loads the graph, Markov, factorization or oracle modules.
 
 GRAPH_KINDS = ("dependency", "structure", "mixed")
 
 #: Graph each condition reads most naturally, used when --graph is omitted.
+#: Its keys are the --condition choices, in the order of markov.CONDITIONS
+#: (a test pins the two equal); the copy keeps markov out of parser set-up.
 DEFAULT_GRAPH_FOR_CONDITION = {
-    markov.LMC_LCN: "dependency",
-    markov.LMC_C: "structure",
-    markov.LMC_CSTR: "structure",
-    markov.GMC_C: "structure",
-    markov.LMC_D: "mixed",
+    "lmc-lcn": "dependency",
+    "lmc-c": "structure",
+    "lmc-cstr": "structure",
+    "lmc-d": "mixed",
+    "gmc-c": "structure",
 }
 
 
@@ -72,6 +78,8 @@ def _load_model(path: str) -> Lcn:
 
 
 def _build_graph(lcn: Lcn, kind: str, syntactic: bool = False) -> MixedGraph:
+    from . import build
+
     if kind == "dependency":
         return build.dependency_graph(
             lcn, merge="syntactic" if syntactic else "semantic")
@@ -83,6 +91,8 @@ def _build_graph(lcn: Lcn, kind: str, syntactic: bool = False) -> MixedGraph:
 
 
 def _emit_json(data: object) -> None:
+    import json
+
     print(json.dumps(data, indent=2))
 
 
@@ -101,6 +111,8 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
+    from .graph import to_dot, to_json_dict
+
     g = _build_graph(_load_model(args.model), args.kind, args.syntactic)
     if args.format == "dot":
         print(to_dot(g), end="")
@@ -110,6 +122,8 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _statements_for(args: argparse.Namespace) -> tuple[str, frozenset]:
+    from . import markov
+
     graph_kind = args.graph or DEFAULT_GRAPH_FOR_CONDITION[args.condition]
     g = _build_graph(_load_model(args.model), graph_kind)
     statements = markov.statements_for(
@@ -133,6 +147,8 @@ def _cmd_indep(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from . import markov
+
     kind_a = args.graph_a or DEFAULT_GRAPH_FOR_CONDITION[args.condition_a]
     kind_b = args.graph_b or DEFAULT_GRAPH_FOR_CONDITION[args.condition_b]
     g_a = _build_graph(_load_model(args.model_a), kind_a)
@@ -158,7 +174,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _plan_json(plan: factorize.FactorizationPlan) -> dict:
+def _plan_json(plan: FactorizationPlan) -> dict:
     return {
         "positivity_assumed": plan.positivity_assumed,
         "expression": plan.expression,
@@ -175,6 +191,8 @@ def _plan_json(plan: factorize.FactorizationPlan) -> dict:
 
 
 def _cmd_factorize(args: argparse.Namespace) -> int:
+    from . import factorize
+
     lcn = _load_model(args.model)
     g = _build_graph(lcn, args.kind)
     plan = factorize.factorization_plan(g)
@@ -214,6 +232,10 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_dist(args: argparse.Namespace) -> int:
+    import json
+
+    from . import oracle
+
     text = _read_text(args.table)
     try:
         data = json.loads(text)
@@ -221,7 +243,8 @@ def _cmd_check_dist(args: argparse.Namespace) -> int:
         raise LcnError(f"{args.table}: {exc}") from None
     table = oracle.table_from_json_dict(data)
     lcn = _load_model(args.model)
-    report = oracle.check_model(table, lcn, tol=args.tol)
+    tol = oracle.DEFAULT_TOL if args.tol is None else args.tol
+    report = oracle.check_model(table, lcn, tol=tol)
     for check in report.constraints:
         status = _paint(check.status, _STATUS_STYLE[check.status])
         value = "undefined" if check.value is None else f"{check.value:.6f}"
@@ -235,6 +258,8 @@ def _cmd_check_dist(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import build, factorize, markov, oracle
+
     lcn = _load_model(args.model)
     g = build.structure(lcn)
     plan = factorize.factorization_plan(g)
@@ -261,6 +286,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_condense(args: argparse.Namespace) -> int:
+    from . import factorize
+    from .graph import to_dot, to_json_dict
+
     g = _build_graph(_load_model(args.model), args.kind)
     quotient, mapping = factorize.condense_cycles(g)
     if args.format == "dot":
@@ -313,7 +341,7 @@ def _tolerance(text: str) -> float:
 
 def _add_condition_options(parser: argparse.ArgumentParser, suffix: str = "") -> None:
     parser.add_argument(f"--condition{suffix}", required=True,
-                        choices=markov.CONDITIONS)
+                        choices=tuple(DEFAULT_GRAPH_FOR_CONDITION))
     parser.add_argument(f"--graph{suffix}", choices=GRAPH_KINDS, default=None,
                         help="graph to read (default depends on the condition)")
 
@@ -368,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--strict", action="store_true",
                    help="treat vacuous conditional constraints as violations")
-    p.add_argument("--tol", type=_tolerance, default=oracle.DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=None)  # None: oracle.DEFAULT_TOL
     p.set_defaults(func=_cmd_check_dist)
 
     p = sub.add_parser("verify",

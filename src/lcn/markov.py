@@ -38,11 +38,19 @@ GMC_C = "gmc-c"
 LOCAL_CONDITIONS = (LMC_LCN, LMC_C, LMC_CSTR, LMC_D)
 CONDITIONS = LOCAL_CONDITIONS + (GMC_C,)
 
-#: Combinatorial guard for exhaustive statement enumeration.  At 12 nodes
+#: Combinatorial guards for exhaustive statement enumeration.  At 12 nodes
 #: and the default bounds `enumerate_gmc` makes 3,169,728 queries: 1.3 s
 #: for 4,223 statements to 5.4 s for 655,108 on random chain graphs (2-core
 #: VM, Python 3.11.7); sparse graphs cost more, in the statements built.
+#: The node guard does not bound the output: an edgeless 12-node graph
+#: yields 2,934,207 statements, about 1 GB.  So the enumeration also stops
+#: once it holds more than MAX_ENUMERATION_STATEMENTS, set above the largest
+#: outputs measured: 655,108 for `tests/helpers.py`
+#: `random_chain_graph(Random(2), 12)` (271 MB peak RSS) and 941,633 for an
+#: edgeless 11-node graph (354 MB).  The edgeless 12-node graph reaches the
+#: guard after 13.5 s, at 345 MB peak RSS.
 MAX_ENUMERATION_NODES = 12
+MAX_ENUMERATION_STATEMENTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -149,10 +157,11 @@ def enumerate_gmc(g: MixedGraph,
     Every triple is one query on the graph's node bitmasks.  The smallest
     ancestral set of a union is the union of the members' ones, so it is
     tabled for every node subset; the moral graph is built once per
-    distinct ancestral set.  Cost grows steeply with the node count and the
-    guard caps it at MAX_ENUMERATION_NODES: at 12 nodes and the default
-    bounds that is 3,169,728 queries, 1.3 s to 5.4 s on random chain graphs
-    (4,223 to 655,108 statements; 2-core VM, Python 3.11.7).
+    distinct ancestral set.  Cost grows steeply with the node count, so
+    MAX_ENUMERATION_NODES caps the nodes and MAX_ENUMERATION_STATEMENTS the
+    output: at 12 nodes and the default bounds that is 3,169,728 queries,
+    1.3 s to 5.4 s on random chain graphs (4,223 to 655,108 statements;
+    2-core VM, Python 3.11.7).
     """
     if max_x < 1 or (max_y is not None and max_y < 1) or max_z < 0:
         raise GraphError("enumeration bounds must satisfy max_x >= 1, max_y >= 1 "
@@ -189,6 +198,10 @@ def enumerate_gmc(g: MixedGraph,
                     adj = moral[ancestral] = g._moral(ancestral)
                 if _separated(adj, x, y, z):
                     out.add(IndependenceStatement(names[x], names[y], names[z]))
+                    if len(out) > MAX_ENUMERATION_STATEMENTS:
+                        raise GraphError(
+                            f"enumeration over {n} nodes yields more than the "
+                            f"{MAX_ENUMERATION_STATEMENTS}-statement guard")
     return frozenset(out)
 
 

@@ -19,7 +19,7 @@ declared implicitly, in order of first appearance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import ModelError, ParseError
 from .formula import (
@@ -277,10 +277,3 @@ def validate(lcn: Lcn) -> list[Diagnostic]:
                 + "; ".join(format_constraint(c) for c in group),
                 group[0].line))
     return out
-
-
-def iter_group(lcn: Lcn, group: str) -> Iterator[Constraint]:
-    """The constraints of one group, in model order."""
-    if group not in GROUPS:
-        raise ModelError(f"unknown group {group!r}")
-    return (c for c in lcn.constraints if c.group == group)

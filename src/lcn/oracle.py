@@ -19,14 +19,16 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import GraphError, ModelError
-from .factorize import FactorizationPlan
 from .formula import And, Formula, support, truth_mask
-from .graph import MixedGraph
-from .markov import IndependenceStatement
 from .model import Constraint, Lcn, format_constraint
+
+if TYPE_CHECKING:
+    from .factorize import FactorizationPlan
+    from .graph import MixedGraph
+    from .markov import IndependenceStatement
 
 #: Largest joint table, in propositions.
 MAX_TABLE_PROPS = 12

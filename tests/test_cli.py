@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -7,10 +9,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import lcn
-from lcn.cli import main
+from lcn.cli import DEFAULT_GRAPH_FOR_CONDITION, main
+from lcn.markov import CONDITIONS
+from lcn.oracle import DEFAULT_TOL
 
 QUAD_MIXED = str(helpers.FIXTURES / "quad_mixed.lcn")
 SMOKERS = str(helpers.FIXTURES / "smokers.lcn")
@@ -130,17 +136,41 @@ def test_graph_of_wide_formula_under_the_default_int_str_limit(tmp_path):
     assert "X0 | X1 |" in proc.stdout
 
 
-def test_import_leaves_networkx_unloaded():
+LAYERS = ("lcn.build", "lcn.graph", "lcn.markov", "lcn.factorize", "lcn.oracle")
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (None, LAYERS),
+    (["parse", SMOKERS], LAYERS),
+    (["check-dist", "table.json", "half.lcn"], tuple(m for m in LAYERS if m != "lcn.oracle")),
+    (["graph", SMOKERS], ("lcn.markov", "lcn.oracle")),
+], ids=["import", "parse", "check-dist", "graph"])
+def test_import_leaves_networkx_unloaded(tmp_path, argv, unloaded):
+    # A fresh interpreter runs `import lcn` or `python -m lcn <argv>` and
+    # prints its sys.modules at exit, as the last line of stdout.
+    write(tmp_path, "half.lcn", "U: 0.4 <= P(a) <= 0.6\n")
+    write(tmp_path, "table.json", json.dumps({"props": ["a"], "probs": [0.5, 0.5]}))
+    run = ("import lcn" if argv is None else
+           "import runpy; runpy.run_module('lcn', run_name='__main__', alter_sys=True)")
     env = dict(os.environ, PYTHONPATH=str(Path(lcn.__file__).resolve().parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, lcn; print('networkx' in sys.modules)"],
-        capture_output=True, text=True, env=env)
+        [sys.executable, "-c",
+         f"import atexit, sys; atexit.register(lambda: print(*sorted(sys.modules))); {run}",
+         *(argv or [])],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "lcn" in loaded
+    assert sorted(loaded & {"networkx", *unloaded}) == []
 
 
 # ---------------------------------------------------------------------------
 # indep
+
+def test_condition_choices_are_markov_conditions():
+    # The CLI keeps its own copy so that building the parser loads no markov.
+    assert tuple(DEFAULT_GRAPH_FOR_CONDITION) == CONDITIONS
+
 
 def test_indep_text_statements_sorted(capsys):
     assert main(["indep", QUAD_MIXED, "--condition", "lmc-d"]) == 0
@@ -375,6 +405,15 @@ def test_check_dist_rejects_nan_probabilities(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_check_dist_default_tolerance_is_the_oracle_default(tmp_path):
+    # P(A) lies above the upper bound by half of oracle.DEFAULT_TOL.
+    table = write(tmp_path, "t.json", json.dumps(
+        {"props": ["A"], "probs": [0.4 - DEFAULT_TOL / 2, 0.6 + DEFAULT_TOL / 2]}))
+    model = write(tmp_path, "m.lcn", "U: 0.5 <= P(A) <= 0.6\n")
+    assert main(["check-dist", table, model]) == 0
+    assert main(["check-dist", table, model, "--tol", "0"]) == 1
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1e-9", "x"])
 def test_check_dist_bad_tolerance_is_usage_error(tmp_path, tol):
     table = write(tmp_path, "t.json", json.dumps({"props": ["A"], "probs": [0.4, 0.6]}))
@@ -432,6 +471,108 @@ def test_condense_identity_mapping_is_empty(capsys):
                  "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["super_nodes"] == {} and data["mapping"] == {}
+
+
+# ---------------------------------------------------------------------------
+# fuzz: near-miss input ends in exit 0 or 1, or a usage error
+
+NEAR_MISS_LINES = (
+    # the malformed lines of perfbench/gen.py
+    "U: P(A given) = 0.3", "U: 1.5 <= P(A) <= 2", "X: P(A) = 0.1",
+    "U: P(A $ B) = 0.2", "D: P(A & (B | C) = 0.4",
+    # stray connectives, brackets and bounds
+    "U: P(a &) = 0.2", "U: P(| a) = 0.2", "D: P(a given b &) = 0.5", "U: P(!) = 0.1",
+    "U: P(a -> ) = 0.3", "U: P((a) = 0.3", "U: P(a)) = 0.3", "D: P(given a) = 0.5",
+    "U: 0.7 <= P(a) <= 0.2", "U: P(a) = nan", "U: P(a) = 1e999", "U: P(a) in [0.2]",
+    "U: P(a & !a) = 0.5", "D: P(a given a) = 0.5", "D: P(b given a | !a) = 0.5", "U:", "P(a) = 0.5",
+    # well-formed lines
+    "U: 0.1 <= P(a | b) <= 0.9", "D: P(b given a) = 0.2", "D: P(a given b) = 0.2", "# comment",
+)
+FIXTURE_TEXTS = tuple(path.read_text() for path in sorted(helpers.FIXTURES.glob("*.lcn")))
+TABLE_TEXTS = (
+    '{"props": "AB", "probs": [0.25, 0.25, 0.25, 0.25]}',
+    '{"props": ["a", 1], "probs": [0.25, 0.25, 0.25, 0.25]}',
+    '{"props": ["a"], "probs": [true, false]}',
+    '{"props": ["a"], "probs": ["0.5", "x"]}',
+    '{"props": ["a"], "probs": {"0": 1}}',
+    '{"props": ["a", "a"], "probs": [0.25, 0.25, 0.25, 0.25]}',
+    '{"props": ["a"], "probs": [0.5, 0.5]}', '{"props": ["a", "b"], "probs": [0.1, 0.2, 0.3, 0.4]}',
+    '{"props": ["a"]}', '{"probs": [1]}',
+    "[]", "null", "7", '"a"', "{not json", "",
+)
+CONDITION_OPTIONS = [["--condition", c] for c in ("lmc-lcn", "lmc-c", "lmc-cstr", "lmc-d")] + [
+    # gmc-c under tight bounds, so that a 12-node model stays quick
+    ["--condition", "gmc-c", "--max-x", "1", "--max-z", "0"],
+]
+NEAR_MISS_OPTIONS = {
+    "parse": [[], ["--kind", "dot"]],
+    "graph": [[], ["--kind", "mixed", "--format", "json"], ["--kind", "dependency", "--syntactic"],
+              ["--kind", "bogus"], ["--format"]],
+    "indep": CONDITION_OPTIONS + [
+        ["--condition", "lmc-c", "--max-x", "-1"], ["--condition", "lmc-d", "--max-z", "x"],
+        ["--condition", "lmc-lcn", "--graph", "structure"],
+        ["--condition", "lmc-d", "--graph", "dependency", "--format", "json"],
+        ["--condition", "gmc-c", "--max-x", "0"], ["--condition", "bogus"], []],
+    "compare": [["--condition-a", "lmc-lcn", "--condition-b", "lmc-cstr"],
+                ["--condition-a", "lmc-d", "--condition-b", "lmc-c", "--format", "json"],
+                ["--condition-a", "lmc-c", "--condition-b", "gmc-c", "--max-x", "1",
+                 "--max-z", "0"],
+                ["--condition-a", "lmc-c"], ["--condition-a", "x", "--condition-b", "lmc-c"]],
+    "factorize": [[], ["--prune"], ["--kind", "mixed", "--format", "json", "--prune"],
+                  ["--kind", "dependency"]],
+    "check-dist": [[], ["--strict"], ["--tol", "nan"], ["--tol", "-1"], ["--tol", "inf"],
+                   ["--tol", "0"]],
+    "verify": [["--samples", "1"], ["--samples", "2", "--seed", "-5", "--tol", "0"],
+               ["--samples", "0"], ["--samples", "1", "--seed", "x"],
+               ["--samples", "1", "--tol", "nan"]],
+    "condense": [[], ["--kind", "dependency", "--format", "json"], ["--kind", "structure"],
+                 ["--format", "yaml"]],
+}
+
+fixture_texts = st.sampled_from(FIXTURE_TEXTS)
+model_texts = st.one_of(
+    fixture_texts,
+    # truncated mid-line, or after a whole line
+    st.tuples(fixture_texts, st.integers(0, 10**4)).map(lambda t: t[0][:t[1] % (len(t[0]) + 1)]),
+    st.tuples(fixture_texts, st.integers(0, 12)).map(
+        lambda t: "".join(t[0].splitlines(keepends=True)[:t[1]])),
+    st.tuples(fixture_texts, st.sampled_from(NEAR_MISS_LINES)).map("\n".join),
+    st.lists(st.sampled_from(NEAR_MISS_LINES), max_size=5).map("\n".join),
+)
+table_texts = st.one_of(
+    st.sampled_from(TABLE_TEXTS),
+    st.fixed_dictionaries({
+        "props": st.one_of(st.lists(st.sampled_from(["a", "b", "c", "A", 0, None]), max_size=3),
+                           st.text(max_size=3), st.integers(), st.none()),
+        "probs": st.one_of(st.lists(st.one_of(st.floats(), st.booleans(), st.integers(-1, 2),
+                                              st.text(max_size=3), st.none()), max_size=8),
+                           st.floats(), st.none()),
+    }).map(json.dumps),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=5000)
+@given(command=st.sampled_from(sorted(NEAR_MISS_OPTIONS)), data=st.data(),
+       model=model_texts, other=model_texts, table=table_texts)
+def test_cli_near_miss_inputs_exit_cleanly(fuzz_dir, command, data, model, other, table):
+    (fuzz_dir / "m.lcn").write_text(model)
+    (fuzz_dir / "o.lcn").write_text(other)
+    (fuzz_dir / "t.json").write_text(table)
+    inputs = {"compare": ["m.lcn", "o.lcn"], "check-dist": ["t.json", "m.lcn"]}
+    argv = [command, *(str(fuzz_dir / name) for name in inputs.get(command, ["m.lcn"])),
+            *data.draw(st.sampled_from(NEAR_MISS_OPTIONS[command]))]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1), argv
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import importlib
 import random
 import sys
 
@@ -358,6 +359,21 @@ PUBLIC_PACKAGE_NAMES = [
 def test_public_graph_surface_is_pinned():
     assert sorted(n for n in dir(MixedGraph) if not n.startswith("_")) == PUBLIC_GRAPH_METHODS
     assert sorted(lcn.__all__) == PUBLIC_PACKAGE_NAMES
+
+
+def test_every_public_package_name_resolves():
+    # `lcn` resolves its names lazily; each one is the object its module defines.
+    star: dict = {}
+    exec("from lcn import *", star)
+    for name in lcn.__all__:
+        home = lcn._HOME.get(name)
+        expected = (importlib.import_module(f"lcn.{name}") if home is None
+                    else getattr(importlib.import_module(f"lcn.{home}"), name))
+        assert getattr(lcn, name) is expected
+        assert star[name] is expected
+    assert set(lcn.__all__) <= set(dir(lcn))
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        lcn.nonexistent
 
 # ---------------------------------------------------------------------------
 # Serialization

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import stmt, stmt_strs
+from lcn import markov
 from lcn.build import dependency_graph, mixed_structure, structure
 from lcn.errors import GraphError
 from lcn.factorize import condense_cycles
@@ -245,6 +246,19 @@ def test_enumerate_gmc_node_guard():
     big = MixedGraph.from_props([f"N{i}" for i in range(13)], [])
     with pytest.raises(GraphError, match="guard"):
         enumerate_gmc(big)
+
+
+def test_enumerate_gmc_statement_guard(monkeypatch):
+    # Above the largest random-chain output at 12 nodes, below the edgeless
+    # 12-node graph's 2,934,207 statements.
+    assert 655_108 <= markov.MAX_ENUMERATION_STATEMENTS < 2_934_207
+    edgeless = MixedGraph.from_props([f"N{i}" for i in range(6)], [])
+    total = len(enumerate_gmc(edgeless))
+    monkeypatch.setattr(markov, "MAX_ENUMERATION_STATEMENTS", total)
+    assert len(enumerate_gmc(edgeless)) == total
+    monkeypatch.setattr(markov, "MAX_ENUMERATION_STATEMENTS", total - 1)
+    with pytest.raises(GraphError, match=f"more than the {total - 1}-statement guard"):
+        enumerate_gmc(edgeless)
 
 
 def test_gmc_cycle_patterns():

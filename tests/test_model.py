@@ -9,7 +9,6 @@ from lcn.model import (
     Lcn,
     format_constraint,
     format_lcn,
-    iter_group,
     make_lcn,
     parse_lcn,
     validate,
@@ -65,13 +64,6 @@ def test_lcn_validation():
         Lcn(("A", "A"), ())
     with pytest.raises(ModelError, match="undeclared"):
         make_lcn([Constraint(0.1, 0.2, A)], props=["B"])
-
-
-def test_iter_group(smokers):
-    assert len(list(iter_group(smokers, "U"))) == 12
-    assert list(iter_group(smokers, "D")) == []
-    with pytest.raises(ModelError):
-        list(iter_group(smokers, "Q"))
 
 
 # ---------------------------------------------------------------------------
