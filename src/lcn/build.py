@@ -15,8 +15,6 @@ Plus the two neighborhood notions the dependency graph supports:
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .errors import GraphError
 from .formula import (
     Formula,
@@ -27,12 +25,8 @@ from .formula import (
     key_as_single_prop,
     support,
 )
-from .graph import MixedGraph, Node, _collapse_bidirected, formula_node, prop_node
+from .graph import MixedGraph, Node, _bits, _collapse_bidirected, formula_node, prop_node
 from .model import Lcn
-
-
-def _ordered_support(f: Formula) -> list[str]:
-    return sorted(support(f))
 
 
 class _FormulaNodes:
@@ -70,7 +64,7 @@ class _FormulaNodes:
         """
         if self.merge == "semantic":
             return list(canonical_key(f)[0])
-        return _ordered_support(f)
+        return sorted(support(f))
 
     def node_for(self, f: Formula) -> Node:
         if self.merge == "semantic":
@@ -143,28 +137,23 @@ def structure(lcn: Lcn) -> MixedGraph:
     dropped; and each bi-directed pair is replaced by a single undirected
     edge.
     """
-    g = mixed_structure(lcn)
-    return _collapse_bidirected(g.nodes, g.directed, g.undirected)
+    return _collapse_bidirected(mixed_structure(lcn))
 
 
 def mixed_structure(lcn: Lcn) -> MixedGraph:
     """Like `structure`, but bi-directed pairs survive as two directed
     edges."""
-    props = {name: prop_node(name) for name in lcn.props}
-    directed: set[tuple[Node, Node]] = set()
-    undirected: set[tuple[Node, Node]] = set()
+    names = sorted(lcn.props)  # the node order: propositions sort by name
+    bit = {name: 1 << i for i, name in enumerate(names)}
+    children, neighbors = [0] * len(names), [0] * len(names)
     for c in lcn.constraints:
-        phi_props = _ordered_support(c.phi)
+        phi = sum(bit[p] for p in support(c.phi))
         if c.group == "U":
-            for i, a in enumerate(phi_props):
-                for b in phi_props[i + 1:]:
-                    undirected.add((props[a], props[b]) if props[a] < props[b]
-                                   else (props[b], props[a]))
-        for p in _ordered_support(c.psi):
-            for q in phi_props:
-                if p != q:
-                    directed.add((props[p], props[q]))
-    return MixedGraph(props.values(), directed, undirected)
+            for i in _bits(phi):
+                neighbors[i] |= phi & ~(1 << i)
+        for i in _bits(sum(bit[p] for p in support(c.psi))):
+            children[i] |= phi & ~(1 << i)
+    return MixedGraph._from_masks(tuple(map(prop_node, names)), children, neighbors)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import GraphError
 from .formula import (
@@ -28,7 +27,7 @@ from .formula import (
     canonical_key,
     truth_mask,
 )
-from .graph import MixedGraph, Node, _collapse_bidirected, _undirected_key, super_node
+from .graph import MixedGraph, Node, _bits, _collapse_bidirected, super_node
 from .model import Lcn, format_constraint
 
 
@@ -38,32 +37,31 @@ def component_dag(g: MixedGraph) -> tuple[frozenset[Node], ...]:
     Ties break on the smallest member node, so the order is deterministic.
     Raises GraphError when the graph has a directed cycle.
     """
+    return tuple(g._members(members) for members, _ in _ordered_chains(g))
+
+
+def _ordered_chains(g: MixedGraph) -> list[tuple[int, int]]:
+    """`g._chain_masks()` in `component_dag` order: Kahn's algorithm with a
+    heap of indices, which number the components by their lowest nodes."""
     if g.has_directed_cycle():
         raise GraphError("component ordering requires a graph without directed cycles")
-    components = g.chain_components()
-    index = {n: i for i, comp in enumerate(components) for n in comp}
-    successors: list[set[int]] = [set() for _ in components]
-    indegree = [0] * len(components)
-    for a, b in g.directed:
-        ia, ib = index[a], index[b]
-        if ia != ib and ib not in successors[ia]:
-            successors[ia].add(ib)
-            indegree[ib] += 1
-
-    def rank(i: int) -> tuple:
-        return min(n.sort_key for n in components[i])
-
-    ready = [(rank(i), i) for i in range(len(components)) if indegree[i] == 0]
-    heapq.heapify(ready)
-    order: list[frozenset[Node]] = []
+    chains = g._chain_masks()
+    owner = {i: k for k, (members, _) in enumerate(chains) for i in _bits(members)}
+    waiting = [{owner[i] for i in _bits(parents & ~members)} for members, parents in chains]
+    later: list[list[int]] = [[] for _ in chains]
+    for k, earlier in enumerate(waiting):
+        for j in earlier:
+            later[j].append(k)
+    ready = [k for k, earlier in enumerate(waiting) if not earlier]  # ascending: a heap
+    order = []
     while ready:
-        _, i = heapq.heappop(ready)
-        order.append(components[i])
-        for j in sorted(successors[i]):
-            indegree[j] -= 1
-            if indegree[j] == 0:
-                heapq.heappush(ready, (rank(j), j))
-    return tuple(order)
+        k = heapq.heappop(ready)
+        order.append(chains[k])
+        for j in later[k]:
+            waiting[j].remove(k)
+            if not waiting[j]:
+                heapq.heappush(ready, j)
+    return order
 
 
 @dataclass(frozen=True)
@@ -90,58 +88,49 @@ class FactorizationPlan:
 def factorization_plan(g: MixedGraph) -> FactorizationPlan:
     """Symbolic chain-graph factorization: per component, the undirected
     graph on component ∪ boundary (in-graph edges undirected, boundary
-    completed) and its maximal cliques."""
+    completed) and its maximal cliques.  Graphs with formula nodes are
+    refused: a factor ranges over variables."""
+    if any(n.kind == "formula" for n in g.nodes):
+        raise GraphError("factorization is defined over variable nodes only")
     factors = []
-    for comp in component_dag(g):
-        boundary = g.boundary_of_set(comp)
-        keep = comp | boundary
-        undirected: set[tuple[Node, Node]] = set()
-        for a, b in g.directed:
-            if a in keep and b in keep:
-                undirected.add(_undirected_key(a, b))
-        for a, b in g.undirected:
-            if a in keep and b in keep:
-                undirected.add((a, b))
-        for a, b in combinations(sorted(boundary), 2):
-            undirected.add(_undirected_key(a, b))
-        component_graph = MixedGraph(keep, (), undirected)
+    for members, parents in _ordered_chains(g):
+        boundary = parents & ~members
+        keep = members | boundary
+        adjacent = {i: (g._boundary_masks[i] | g._child_masks[i]
+                        | (boundary if boundary >> i & 1 else 0)) & ~(1 << i)
+                    for i in _bits(keep)}
+        component_graph = g._subgraph(keep, dict.fromkeys(adjacent, 0), adjacent)
+        # Node tuples compare as their position lists do.
+        cliques = tuple(map(component_graph._ordered, sorted(
+            _maximal_cliques(component_graph), key=lambda clique: list(_bits(clique)))))
 
-        cliques = tuple(sorted(
-            tuple(sorted(clique)) for clique in _maximal_cliques(component_graph)
-        ))
-
-        names = ",".join(n.name for n in sorted(comp))
-        if boundary:
-            expression = f"P({names} | {','.join(n.name for n in sorted(boundary))})"
-        else:
-            expression = f"P({names})"
-        factors.append(ComponentFactor(
-            component=tuple(sorted(comp)),
-            boundary=tuple(sorted(boundary)),
-            graph=component_graph,
-            cliques=cliques,
-            expression=expression,
-        ))
+        component, given = g._ordered(members), g._ordered(boundary)
+        names = ",".join(n.name for n in component)
+        if given:
+            names += " | " + ",".join(n.name for n in given)
+        factors.append(ComponentFactor(component, given, component_graph, cliques, f"P({names})"))
     return FactorizationPlan(tuple(factors))
 
 
-def _maximal_cliques(g: MixedGraph) -> list[list[Node]]:
-    """Maximal cliques of an undirected graph: Bron–Kerbosch with Tomita
-    pivoting, on an explicit stack of (clique, candidates, excluded)."""
-    adjacent = {n: g.neighbors(n) for n in g.nodes}
-    cliques: list[list[Node]] = []
-    stack = [([], set(g.nodes), set())]
+def _maximal_cliques(g: MixedGraph) -> list[int]:
+    """Maximal cliques of an undirected graph as node masks: Bron–Kerbosch
+    with Tomita pivoting, on an explicit stack of (clique, candidates,
+    excluded) masks."""
+    adjacent = g._neighbor_masks
+    cliques: list[int] = []
+    stack = [(0, (1 << len(g.nodes)) - 1, 0)]
     while stack:
         clique, candidates, excluded = stack.pop()
         if not candidates:
             if not excluded:
                 cliques.append(clique)
             continue
-        pivot = max(candidates | excluded, key=lambda u: len(candidates & adjacent[u]))
-        for v in candidates - adjacent[pivot]:
-            stack.append((clique + [v], candidates & adjacent[v], excluded & adjacent[v]))
-            candidates.remove(v)
-            excluded.add(v)
+        pivot = max(_bits(candidates | excluded),
+                    key=lambda u: (candidates & adjacent[u]).bit_count())
+        for v in _bits(candidates & ~adjacent[pivot]):
+            stack.append((clique | 1 << v, candidates & adjacent[v], excluded & adjacent[v]))
+            candidates ^= 1 << v
+            excluded |= 1 << v
     return cliques
 
 
@@ -161,19 +150,14 @@ def condense_cycles(g: MixedGraph) -> tuple[MixedGraph, dict[Node, Node]]:
     quotient cycle would lift to a closed mixed walk through a directed
     edge whose endpoints would then share a contracted component.
     """
-    root = g._step_components()
-    cyclic = {root[a] for a, b in g.directed if root[a] == root[b]}
-    members: dict[Node, list[str]] = {}
-    for n, r in root.items():
-        if r in cyclic:
-            members.setdefault(r, []).append(n.name)
-    merged = {r: super_node(names) for r, names in members.items()}
-    mapping = {n: merged.get(r, n) for n, r in root.items()}
+    sccs = g._step_components()
+    cyclic = {scc for scc, children in zip(sccs, g._child_masks) if children & scc}
+    merged = {scc: super_node(n.name for n in g._ordered(scc)) for scc in cyclic}
+    mapping = {n: merged.get(scc, n) for n, scc in zip(g.nodes, sccs)}
 
-    directed = {(mapping[a], mapping[b]) for a, b in g.directed
-                if mapping[a] != mapping[b]}
+    directed = [(mapping[a], mapping[b]) for a, b in g.directed if mapping[a] != mapping[b]]
     undirected = [(mapping[a], mapping[b]) for a, b in g.undirected if mapping[a] != mapping[b]]
-    return _collapse_bidirected(set(mapping.values()), directed, undirected), mapping
+    return _collapse_bidirected(MixedGraph(mapping.values(), directed, undirected)), mapping
 
 
 # ---------------------------------------------------------------------------

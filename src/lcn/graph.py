@@ -15,14 +15,16 @@ also hold formula nodes or the super-nodes produced by cycle condensation.
 
 Bit convention: a graph sorts its nodes once, and a set of its nodes is an
 int mask in which bit i stands for `nodes[i]`.  Adjacency is stored only
-that way, one mask per node, and every traversal runs on masks.
+that way, one mask per node, and every traversal runs on masks; the edge
+sets `directed` and `undirected` are views derived from the masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable, Iterator, Mapping
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GraphError
 from .formula import CanonicalKey, Formula, canonical_key, format_formula
@@ -99,10 +101,6 @@ def super_node(members: Iterable[str]) -> Node:
 Edge = tuple[Node, Node]
 
 
-def _undirected_key(a: Node, b: Node) -> Edge:
-    return (a, b) if a.sort_key <= b.sort_key else (b, a)
-
-
 def _bits(mask: int) -> Iterator[int]:
     """Positions of the set bits of `mask`, lowest first."""
     while mask:
@@ -124,12 +122,11 @@ def _union(adj: list[int], mask: int) -> int:
 class MixedGraph:
     """Immutable mixed graph whose adjacency is held as node bitmasks.
 
-    `directed` is a set of ordered pairs, `undirected` a set of pairs in
-    canonical node order.  Query methods accept nodes or plain proposition
-    names.
-
-    `_parent_masks`, `_child_masks`, `_neighbor_masks` and
-    `_boundary_masks` (parents | neighbours) hold one mask per node.
+    `_child_masks` and `_neighbor_masks` are the only stored edges;
+    `_parent_masks` and `_boundary_masks` (parents | neighbours) are
+    derived from them, one mask per node.  `directed` (ordered pairs) and
+    `undirected` (pairs in node order) are views computed from the masks on
+    each access.  Query methods accept nodes or plain proposition names.
     `_chain_masks()`, built on first use, pairs each chain component's mask
     with the mask of its parents: every node with a child in the component,
     members included.
@@ -155,9 +152,8 @@ class MixedGraph:
                  nodes: Iterable[Node],
                  directed: Iterable[Edge] = (),
                  undirected: Iterable[Edge] = ()):
-        self.nodes: tuple[Node, ...] = tuple(sorted(set(nodes)))
-        self._index = index = {n: i for i, n in enumerate(self.nodes)}
-        self._by_name = {n.name: n for n in self.nodes}
+        ordered = tuple(sorted(set(nodes), key=attrgetter("sort_key")))
+        index = {n: i for i, n in enumerate(ordered)}
 
         def positions(a: Node, b: Node) -> tuple[int, int]:
             i, j = index.get(a), index.get(b)
@@ -167,31 +163,39 @@ class MixedGraph:
                 raise GraphError(f"self-loop on {a!r}")
             return i, j
 
-        parents = [0] * len(self.nodes)
-        children = [0] * len(self.nodes)
-        neighbors = [0] * len(self.nodes)
-        dir_edges: set[Edge] = set()
+        children, neighbors = [0] * len(ordered), [0] * len(ordered)
         for a, b in directed:
             i, j = positions(a, b)
             children[i] |= 1 << j
-            parents[j] |= 1 << i
-            dir_edges.add((a, b))
-        undir_edges: set[Edge] = set()
         for a, b in undirected:
             i, j = positions(a, b)
             neighbors[i] |= 1 << j
             neighbors[j] |= 1 << i
-            undir_edges.add(_undirected_key(a, b))
-        self.directed: frozenset[Edge] = frozenset(dir_edges)
-        self.undirected: frozenset[Edge] = frozenset(undir_edges)
+        self._setup(ordered, children, neighbors)
+
+    @classmethod
+    def _from_masks(cls, nodes: tuple[Node, ...], children: list[int],
+                    neighbors: list[int]) -> "MixedGraph":
+        """The graph on `nodes`, already sorted, with these edge masks."""
+        g = cls.__new__(cls)
+        g._setup(nodes, children, neighbors)
+        return g
+
+    def _setup(self, nodes: tuple[Node, ...], children: list[int], neighbors: list[int]) -> None:
+        self.nodes: tuple[Node, ...] = nodes
+        self._index = {n: i for i, n in enumerate(nodes)}
+        self._by_name = {n.name: n for n in nodes}
+        parents = [0] * len(nodes)
+        for i, mask in enumerate(children):
+            for j in _bits(mask):
+                parents[j] |= 1 << i
         self._parent_masks = parents
         self._child_masks = children
         self._neighbor_masks = neighbors
         self._boundary_masks = [p | nb for p, nb in zip(parents, neighbors)]
-        # Derived once, on first use: the chain-component masks and the
-        # step-relation components.
+        # Built on first use: chain-component and step-component masks.
         self._chains: list[tuple[int, int]] | None = None
-        self._roots: dict[Node, Node] | None = None
+        self._sccs: list[int] | None = None
 
     @classmethod
     def from_props(cls,
@@ -233,15 +237,30 @@ class MixedGraph:
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, MixedGraph)
                 and self.nodes == other.nodes
-                and self.directed == other.directed
-                and self.undirected == other.undirected)
+                and self._child_masks == other._child_masks
+                and self._neighbor_masks == other._neighbor_masks)
 
     def __hash__(self) -> int:
-        return hash((self.nodes, self.directed, self.undirected))
+        return hash((self.nodes, tuple(self._child_masks), tuple(self._neighbor_masks)))
 
     def __repr__(self) -> str:
-        return (f"MixedGraph({len(self.nodes)} nodes, "
-                f"{len(self.directed)} directed, {len(self.undirected)} undirected)")
+        arcs = sum(m.bit_count() for m in self._child_masks)
+        links = sum(m.bit_count() for m in self._neighbor_masks) // 2
+        return f"MixedGraph({len(self.nodes)} nodes, {arcs} directed, {links} undirected)"
+
+    @property
+    def directed(self) -> frozenset[Edge]:
+        """The directed edges (a, b), read off the child masks."""
+        return frozenset((a, b) for a, mask in zip(self.nodes, self._child_masks)
+                         for b in self._ordered(mask))
+
+    @property
+    def undirected(self) -> frozenset[Edge]:
+        """The undirected edges as pairs (a, b) with a before b in node order."""
+        nodes = self.nodes
+        return frozenset((nodes[i], nodes[j])
+                         for i, mask in enumerate(self._neighbor_masks)
+                         for j in _bits(mask >> i << i))
 
     # -- masks -------------------------------------------------------------
 
@@ -249,14 +268,15 @@ class MixedGraph:
         return self._index[self.resolve(node)]
 
     def _mask(self, nodes: Iterable[Node]) -> int:
-        """The mask of nodes already resolved against this graph."""
-        out = 0
-        for n in nodes:
-            out |= 1 << self._index[n]
-        return out
+        """The mask of distinct nodes already resolved against this graph."""
+        return sum(1 << self._index[n] for n in nodes)
 
     def _members(self, mask: int) -> frozenset[Node]:
         return frozenset(self.nodes[i] for i in _bits(mask))
+
+    def _ordered(self, mask: int) -> tuple[Node, ...]:
+        """The nodes of `mask` in node order."""
+        return tuple(self.nodes[i] for i in _bits(mask))
 
     @staticmethod
     def _reach(mask: int, adj: list[int], through: int = -1) -> int:
@@ -318,13 +338,13 @@ class MixedGraph:
         for nodes without undirected edges), in deterministic order."""
         return tuple(self._members(members) for members, _ in self._chain_masks())
 
-    def _step_components(self) -> dict[Node, Node]:
+    def _step_components(self) -> list[int]:
         """Strongly connected components of the step relation (directed
-        edges forward, undirected edges both ways) as a map from each node
-        to its component's root; Kosaraju's two passes, iteratively.
-        Computed once per graph; callers must not modify the map."""
-        if self._roots is not None:
-            return self._roots
+        edges forward, undirected edges both ways): for each node, the mask
+        of its component; Kosaraju's two passes, iteratively.  Computed
+        once per graph; callers must not modify the list."""
+        if self._sccs is not None:
+            return self._sccs
         steps = [c | nb for c, nb in zip(self._child_masks, self._neighbor_masks)]
         order: list[int] = []
         seen = 0
@@ -342,7 +362,7 @@ class MixedGraph:
                 else:
                     order.append(stack.pop())
         # The boundaries (parents | neighbours) are the reversed steps.
-        root: dict[Node, Node] = {}
+        sccs = [0] * len(self.nodes)
         assigned = 0
         for start in reversed(order):
             if assigned >> start & 1:
@@ -350,9 +370,9 @@ class MixedGraph:
             component = self._reach(1 << start, self._boundary_masks, ~assigned) & ~assigned
             assigned |= component
             for i in _bits(component):
-                root[self.nodes[i]] = self.nodes[start]
-        self._roots = root
-        return root
+                sccs[i] = component
+        self._sccs = sccs
+        return sccs
 
     def has_directed_cycle(self) -> bool:
         """Whether some cycle traverses at least one directed edge.
@@ -363,8 +383,7 @@ class MixedGraph:
         edge has both endpoints in one strongly connected component of the
         step relation.
         """
-        root = self._step_components()
-        return any(root[a] == root[b] for a, b in self.directed)
+        return any(map(int.__and__, self._child_masks, self._step_components()))
 
     def is_chain_graph(self) -> bool:
         return not self.has_directed_cycle()
@@ -422,13 +441,20 @@ class MixedGraph:
 
     # -- derived graphs ----------------------------------------------------
 
+    def _subgraph(self, keep: int, children: Sequence[int] | Mapping[int, int],
+                  neighbors: Sequence[int] | Mapping[int, int]) -> "MixedGraph":
+        """The graph on the nodes of `keep` whose masks are `children[i]` and
+        `neighbors[i]` (indexed by this graph's positions) cut down to `keep`
+        and re-indexed onto the kept nodes."""
+        kept = list(_bits(keep))
+        moved = {i: 1 << k for k, i in enumerate(kept)}
+        squeeze = lambda mask: sum(moved[i] for i in _bits(mask & keep))
+        return MixedGraph._from_masks(self._ordered(keep), [squeeze(children[i]) for i in kept],
+                                      [squeeze(neighbors[i]) for i in kept])
+
     def induced_subgraph(self, nodes: Iterable["Node | str"]) -> "MixedGraph":
-        keep = self.resolve_set(nodes)
-        return MixedGraph(
-            keep,
-            [(a, b) for a, b in self.directed if a in keep and b in keep],
-            [(a, b) for a, b in self.undirected if a in keep and b in keep],
-        )
+        return self._subgraph(self._mask(self.resolve_set(nodes)),
+                              self._child_masks, self._neighbor_masks)
 
     def _moral(self, ancestral: int) -> list[int]:
         """Adjacency masks of the moral graph of G[ancestral], one per node
@@ -445,12 +471,7 @@ class MixedGraph:
 
     def _moral_graph(self, ancestral: int) -> "MixedGraph":
         """The moral graph of G[ancestral] as an undirected MixedGraph."""
-        adj = self._moral(ancestral)
-        return MixedGraph(
-            self._members(ancestral), (),
-            [(self.nodes[i], self.nodes[j])
-             for i in _bits(ancestral) for j in _bits(adj[i] >> i << i)],
-        )
+        return self._subgraph(ancestral, [0] * len(self.nodes), self._moral(ancestral))
 
     def moral_graph(self) -> "MixedGraph":
         """Undirected graph joining every pair of nodes with children in a
@@ -473,19 +494,19 @@ class MixedGraph:
                   n2: Iterable["Node | str"],
                   n3: Iterable["Node | str"]) -> bool:
         """In an undirected graph: no path joins n1 to n3 once n2 is deleted."""
-        if self.directed:
+        if any(self._child_masks):
             raise GraphError("separation is defined on undirected graphs only")
         s1, s2, s3 = self.resolve_set(n1), self.resolve_set(n2), self.resolve_set(n3)
         _check_disjoint(s1, s2, s3)
         return _separated(self._neighbor_masks, self._mask(s1), self._mask(s3), self._mask(s2))
 
 
-def _collapse_bidirected(nodes: Iterable[Node], directed: set[Edge] | frozenset[Edge],
-                         undirected: Iterable[Edge]) -> MixedGraph:
-    """The graph with each pair of opposite directed edges replaced by one
+def _collapse_bidirected(g: MixedGraph) -> MixedGraph:
+    """`g` with each pair of opposite directed edges replaced by one
     undirected edge."""
-    bidirected = {(a, b) for a, b in directed if (b, a) in directed}
-    return MixedGraph(nodes, directed - bidirected, [*undirected, *bidirected])
+    both = [c & p for c, p in zip(g._child_masks, g._parent_masks)]
+    return MixedGraph._from_masks(g.nodes, [c ^ b for c, b in zip(g._child_masks, both)],
+                                  [nb | b for nb, b in zip(g._neighbor_masks, both)])
 
 
 def _separated(adj: list[int], a: int, b: int, cut: int) -> bool:
@@ -557,7 +578,7 @@ def to_dot(g: MixedGraph) -> str:
     `digraph` with undirected edges drawn arrowless; formula nodes appear
     as dashed boxes."""
     ids = _node_ids(g)
-    pure_undirected = not g.directed
+    pure_undirected = not any(g._child_masks)
     lines = ["graph G {" if pure_undirected else "digraph G {"]
     for n in g.nodes:
         attrs = []
@@ -570,11 +591,14 @@ def to_dot(g: MixedGraph) -> str:
             attrs.append("shape=box")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f"  {_dot_quote(ids[n])}{suffix};")
-    arrow = "--" if pure_undirected else "->"
-    for a, b in sorted(g.directed, key=lambda e: (e[0].sort_key, e[1].sort_key)):
-        lines.append(f"  {_dot_quote(ids[a])} -> {_dot_quote(ids[b])};")
-    for a, b in sorted(g.undirected, key=lambda e: (e[0].sort_key, e[1].sort_key)):
-        tail = "" if pure_undirected else " [dir=none]"
-        lines.append(f"  {_dot_quote(ids[a])} {arrow} {_dot_quote(ids[b])}{tail};")
+    # Masks walked in node order list the edges sorted by endpoint sort keys.
+    quoted = [_dot_quote(ids[n]) for n in g.nodes]
+    for i, mask in enumerate(g._child_masks):
+        for j in _bits(mask):
+            lines.append(f"  {quoted[i]} -> {quoted[j]};")
+    arrow, tail = ("--", "") if pure_undirected else ("->", " [dir=none]")
+    for i, mask in enumerate(g._neighbor_masks):
+        for j in _bits(mask >> i << i):
+            lines.append(f"  {quoted[i]} {arrow} {quoted[j]}{tail};")
     lines.append("}")
     return "\n".join(lines) + "\n"

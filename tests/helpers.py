@@ -28,13 +28,23 @@ from lcn.formula import (
     key_as_single_prop,
     support,
 )
-from lcn.graph import MixedGraph
+from lcn.graph import MixedGraph, formula_node, prop_node, super_node
 from lcn.markov import IndependenceStatement
 from lcn.model import Constraint, Lcn, make_lcn, parse_lcn
 from lcn.errors import ModelError
 from lcn.oracle import DEFAULT_TOL, WEIGHT_FLOOR, JointTable, StatementCheck
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+# Formula nodes in a dependency graph: a label such as "X | E" would read as a
+# conditioning bar in a factorization plan, and the hard constraint over it
+# would fit no clique.
+FORMULA_NODE_MODEL = """
+D: P(A & B given C) in [0.2, 0.3]
+D: P(C given X | E) = 1
+D: P(!!A) >= 0.1
+"""
 
 
 def load_fixture(name: str) -> Lcn:
@@ -170,6 +180,22 @@ def random_chain_graph(rng: random.Random, n: int,
                     if rng.random() < p_between:
                         directed.append((a, b))
     return MixedGraph.from_props(names, directed, undirected)
+
+
+def random_mixed_kinds_graph(rng: random.Random, n: int) -> MixedGraph:
+    """`random_mixed_graph` with its nodes relabelled into propositions,
+    super-nodes and formula nodes in turn, so that the node order differs
+    from the order of the proposition names."""
+    g = random_mixed_graph(rng, n)
+    labels = {}
+    for i, node in enumerate(g.nodes):
+        tag = ("Z", "S", "F")[i % 3] + str(i)
+        labels[node] = (prop_node(tag) if i % 3 == 0
+                        else super_node([tag, tag + "b"]) if i % 3 == 1
+                        else formula_node(And(Prop(tag), Not(Prop(tag + "b")))))
+    return MixedGraph(labels.values(),
+                      [(labels[a], labels[b]) for a, b in g.directed],
+                      [(labels[a], labels[b]) for a, b in g.undirected])
 
 
 def random_undirected_graph(rng: random.Random, n: int,
@@ -570,6 +596,24 @@ def gma_ref(g: MixedGraph, n1, n2, n3) -> MixedGraph:
         married = sorted(n for n in sub.nodes if sub.children(n) & component)
         edges.update(combinations(married, 2))
     return MixedGraph(sub.nodes, (), edges)
+
+
+def mixed_structure_ref(lcn: Lcn) -> MixedGraph:
+    """`mixed_structure` from node pairs: each group-U constraint joins the
+    propositions of phi pairwise, and every constraint adds an edge from
+    each proposition of psi to each other proposition of phi."""
+    props = {name: prop_node(name) for name in lcn.props}
+    directed: set = set()
+    undirected: set = set()
+    for c in lcn.constraints:
+        phi_props = sorted(support(c.phi))
+        if c.group == "U":
+            undirected.update((props[a], props[b]) for a, b in combinations(phi_props, 2))
+        for p in sorted(support(c.psi)):
+            for q in phi_props:
+                if p != q:
+                    directed.add((props[p], props[q]))
+    return MixedGraph(props.values(), directed, undirected)
 
 
 def separated_ref(g: MixedGraph, n1, n2, n3) -> bool:

@@ -190,6 +190,7 @@ def test_structure_is_collapse_of_mixed_structure_random():
     for _ in range(40):
         lcn = helpers.random_lcn(rng)
         ms = mixed_structure(lcn)
+        assert ms == helpers.mixed_structure_ref(lcn)
         bidir = {(a, b) for a, b in ms.directed if (b, a) in ms.directed}
         collapsed = MixedGraph(
             ms.nodes,

@@ -326,6 +326,15 @@ def test_factorize_prune_error_exit(tmp_path, capsys):
     assert len(data["prune"]["errors"]) == 1
 
 
+@pytest.mark.parametrize("extra", [[], ["--prune"], ["--format", "json"]])
+def test_factorize_rejects_formula_nodes(tmp_path, capsys, extra):
+    model = write(tmp_path, "formulas.lcn", helpers.FORMULA_NODE_MODEL)
+    assert main(["factorize", model, "--kind", "dependency", *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: factorization is defined over variable nodes only"]
+
+
 def test_factorize_rejects_cyclic_structure(capsys):
     assert main(["factorize", CYCLE6]) == 1
     assert "directed cycle" in capsys.readouterr().err

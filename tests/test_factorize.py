@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from lcn.build import mixed_structure, structure
+from lcn.build import dependency_graph, mixed_structure, structure
 from lcn.errors import GraphError
 from lcn.factorize import (
     CliqueConfigurations,
@@ -130,6 +130,13 @@ def test_plan_on_condensed_graph():
 def test_plan_rejects_directed_cycles():
     with pytest.raises(GraphError, match="directed cycle"):
         factorization_plan(helpers.quad_mixed())
+
+
+def test_plan_rejects_formula_nodes():
+    dep = dependency_graph(parse_lcn(helpers.FORMULA_NODE_MODEL))
+    assert not dep.has_directed_cycle()
+    with pytest.raises(GraphError, match="variable nodes only"):
+        factorization_plan(dep)
 
 
 @settings(max_examples=50, deadline=None)

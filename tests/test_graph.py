@@ -125,6 +125,44 @@ def test_graph_equality_ignores_construction_order():
 
 
 # ---------------------------------------------------------------------------
+# Edge views and derived graphs
+
+GRAPH_FAMILIES = [random_chain_graph, random_mixed_graph, helpers.random_mixed_kinds_graph]
+
+
+def _dot_quote_ref(s: str) -> str:
+    return s if s.isidentifier() else '"' + s.replace('"', '\\"') + '"'
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(GRAPH_FAMILIES), st.integers(1, 9), st.integers(0, 10**6))
+def test_edge_views_rebuild_the_graph(family, n, seed):
+    rng = random.Random(seed)
+    g = family(rng, n)
+    rebuilt = MixedGraph(g.nodes, g.directed, g.undirected)
+    assert rebuilt == g and hash(rebuilt) == hash(g)
+    assert all(a.sort_key < b.sort_key for a, b in g.undirected)
+
+    # DOT lists each edge kind sorted by its endpoints' sort keys.
+    ids = {node: entry["id"] for node, entry in zip(g.nodes, to_json_dict(g)["nodes"])}
+    order = lambda edges: sorted(edges, key=lambda e: (e[0].sort_key, e[1].sort_key))
+    link = " -- " if not g.directed else " -> "
+    tail = ";" if not g.directed else " [dir=none];"
+    expected = [f"  {_dot_quote_ref(ids[a])} -> {_dot_quote_ref(ids[b])};"
+                for a, b in order(g.directed)]
+    expected += [f"  {_dot_quote_ref(ids[a])}{link}{_dot_quote_ref(ids[b])}{tail}"
+                 for a, b in order(g.undirected)]
+    assert to_dot(g).splitlines()[1 + len(g.nodes):-1] == expected
+
+    keep = set(rng.sample(g.nodes, rng.randint(0, n)))
+    assert g.induced_subgraph(keep) == MixedGraph(
+        keep,
+        [(a, b) for a, b in g.directed if a in keep and b in keep],
+        [(a, b) for a, b in g.undirected if a in keep and b in keep],
+    )
+
+
+# ---------------------------------------------------------------------------
 # Ancestral sets and chain components
 
 def test_smallest_ancestral_set():
@@ -298,8 +336,7 @@ def test_gma_uses_the_ancestral_subgraph():
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from([random_chain_graph, random_mixed_graph]), st.integers(1, 8),
-       st.integers(0, 10**6))
+@given(st.sampled_from(GRAPH_FAMILIES), st.integers(1, 8), st.integers(0, 10**6))
 def test_moral_graph_and_gma_match_straight_line_reference(family, n, seed):
     rng = random.Random(seed)
     g = family(rng, n)
@@ -334,9 +371,9 @@ def test_separates():
 # removing or renaming one breaks traced runs as well as callers.
 PUBLIC_GRAPH_METHODS = [
     "boundary", "boundary_of_set", "chain_components", "children", "descendants",
-    "from_props", "gma", "has_directed_cycle", "induced_subgraph", "is_chain_graph",
-    "moral_graph", "neighbors", "parents", "resolve", "resolve_set", "separates",
-    "smallest_ancestral_set", "strict_descendants",
+    "directed", "from_props", "gma", "has_directed_cycle", "induced_subgraph",
+    "is_chain_graph", "moral_graph", "neighbors", "parents", "resolve", "resolve_set",
+    "separates", "smallest_ancestral_set", "strict_descendants", "undirected",
 ]
 
 PUBLIC_PACKAGE_NAMES = [
