@@ -26,8 +26,7 @@ _EXPORTS = {
                "local_statements", "statement_decomposes", "weak_descendants"),
     "model": ("Constraint", "Lcn", "format_lcn", "make_lcn", "parse_lcn", "validate"),
     "oracle": ("JointTable", "check_constraint", "check_independence", "check_model",
-               "cond_prob", "prob", "sample_chain_factorized", "sample_positive_table",
-               "separation_bruteforce"),
+               "cond_prob", "prob", "sample_chain_factorized", "sample_positive_table"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

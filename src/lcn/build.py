@@ -15,6 +15,8 @@ Plus the two neighborhood notions the dependency graph supports:
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .errors import GraphError
 from .formula import (
     Formula,
@@ -25,60 +27,8 @@ from .formula import (
     key_as_single_prop,
     support,
 )
-from .graph import MixedGraph, Node, _bits, _collapse_bidirected, formula_node, prop_node
+from .graph import MixedGraph, Node, _bits, _collapse_bidirected, prop_node
 from .model import Lcn
-
-
-class _FormulaNodes:
-    """Formula-node registry: one node per distinct formula.
-
-    In "semantic" mode (the default) formulas are distinct when their
-    canonical keys differ, so logically equivalent formulas from different
-    constraints share a node.  "syntactic" mode falls back to distinctness
-    of the printed form.
-    """
-
-    def __init__(self, merge: str):
-        if merge not in ("semantic", "syntactic"):
-            raise GraphError(f"merge mode must be 'semantic' or 'syntactic', got {merge!r}")
-        self.merge = merge
-        self._nodes: dict[object, Node] = {}
-
-    def is_top(self, f: Formula) -> bool:
-        if self.merge == "semantic":
-            return canonical_key(f) == TOP_KEY
-        return format_formula(f) == "true"
-
-    def as_single_prop(self, f: Formula) -> str | None:
-        if self.merge == "semantic":
-            return key_as_single_prop(canonical_key(f))
-        return f.name if isinstance(f, Prop) else None
-
-    def deps(self, f: Formula) -> list[str]:
-        """Propositions a formula's edges connect to.
-
-        Semantic mode uses the propositions the formula actually depends
-        on, so a merged node's edge set is the same no matter which
-        constraint introduced it.  Syntactic mode uses every proposition
-        written in the formula.
-        """
-        if self.merge == "semantic":
-            return list(canonical_key(f)[0])
-        return sorted(support(f))
-
-    def node_for(self, f: Formula) -> Node:
-        if self.merge == "semantic":
-            ident: object = canonical_key(f)
-            if ident not in self._nodes:
-                self._nodes[ident] = formula_node(f)
-        else:
-            text = format_formula(f)
-            ident = ("syntactic", text)
-            if ident not in self._nodes:
-                # Distinct-by-syntax nodes reuse the key slot with a marker
-                # mask so they never collide with semantic fingerprints.
-                self._nodes[ident] = Node("formula", text, key=((text,), -1))
-        return self._nodes[ident]
 
 
 def dependency_graph(lcn: Lcn, *, merge: str = "semantic") -> MixedGraph:
@@ -90,42 +40,59 @@ def dependency_graph(lcn: Lcn, *, merge: str = "semantic") -> MixedGraph:
     the reverse edges from phi's propositions into the phi-node.  A formula
     that is just one proposition is not materialized — its edges attach to
     the proposition-node itself — and self-loops arising that way are
-    dropped.
+    dropped.  A psi that is `true` adds no node and no edge.
 
-    Under the default ``merge="semantic"`` the propositions of a formula
-    are the ones it actually depends on, so the edges of a merged node do
-    not depend on which constraint introduced it.  ``merge="syntactic"``
-    keeps every proposition written in the formula.
+    Under the default ``merge="semantic"`` formulas are one node when their
+    canonical keys are equal, so logically equivalent formulas from
+    different constraints share a node, displayed as the first rendering
+    seen.  The propositions of a formula are the ones it actually depends
+    on, so the edges of a merged node do not depend on which constraint
+    introduced it.  ``merge="syntactic"`` makes one node per printed form,
+    and keeps every proposition written in the formula.
     """
-    registry = _FormulaNodes(merge)
+    if merge not in ("semantic", "syntactic"):
+        raise GraphError(f"merge mode must be 'semantic' or 'syntactic', got {merge!r}")
     props = {name: prop_node(name) for name in lcn.props}
-    nodes: set[Node] = set(props.values())
+    formulas: dict[object, Node] = {}
     directed: set[tuple[Node, Node]] = set()
 
     def add(a: Node, b: Node) -> None:
         if a != b:
             directed.add((a, b))
 
-    def endpoint(f: Formula) -> Node:
-        name = registry.as_single_prop(f)
+    def endpoint(f: Formula) -> tuple[Node | None, Iterable[str]]:
+        """The node of `f` (None for `true`) and the propositions its
+        edges reach."""
+        if merge == "semantic":
+            key = canonical_key(f)
+            if key == TOP_KEY:
+                return None, ()
+            name, deps, text = key_as_single_prop(key), key[0], None
+        else:
+            text = format_formula(f)
+            if text == "true":
+                return None, ()
+            # Distinct-by-syntax nodes reuse the key slot with a marker
+            # mask so they never collide with semantic fingerprints.
+            name, deps, key = (f.name if isinstance(f, Prop) else None), support(f), ((text,), -1)
         if name is not None:
-            return props[name]
-        node = registry.node_for(f)
-        nodes.add(node)
-        return node
+            return props[name], deps
+        if key not in formulas:
+            formulas[key] = Node("formula", text or format_formula(f), key=key)
+        return formulas[key], deps
 
     for c in lcn.constraints:
-        phi_node = endpoint(c.phi)
-        for p in registry.deps(c.phi):
+        phi_node, phi_deps = endpoint(c.phi)
+        for p in phi_deps:
             add(phi_node, props[p])
             if c.group == "U":
                 add(props[p], phi_node)
-        if not registry.is_top(c.psi):
-            psi_node = endpoint(c.psi)
-            for p in registry.deps(c.psi):
+        psi_node, psi_deps = endpoint(c.psi)
+        if psi_node is not None:
+            for p in psi_deps:
                 add(props[p], psi_node)
             add(psi_node, phi_node)
-    return MixedGraph(nodes, directed)
+    return MixedGraph([*props.values(), *formulas.values()], directed)
 
 
 def structure(lcn: Lcn) -> MixedGraph:

@@ -239,7 +239,7 @@ def _cmd_check_dist(args: argparse.Namespace) -> int:
     text = _read_text(args.table)
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise LcnError(f"{args.table}: {exc}") from None
     table = oracle.table_from_json_dict(data)
     lcn = _load_model(args.model)

@@ -27,7 +27,7 @@ from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GraphError
-from .formula import CanonicalKey, Formula, canonical_key, format_formula
+from .formula import CanonicalKey
 
 _KIND_RANK = {"prop": 0, "super": 1, "formula": 2}
 
@@ -86,11 +86,6 @@ class Node:
 
 def prop_node(name: str) -> Node:
     return Node("prop", name)
-
-
-def formula_node(f: Formula) -> Node:
-    """Node for a non-trivial formula, displayed as its printed form."""
-    return Node("formula", format_formula(f), key=canonical_key(f))
 
 
 def super_node(members: Iterable[str]) -> Node:
@@ -204,13 +199,16 @@ class MixedGraph:
                    undirected: Iterable[tuple[str, str]] = ()) -> "MixedGraph":
         """Build a proposition-only graph from name pairs."""
         nodes = {name: prop_node(name) for name in names}
-        for a, b in list(directed) + list(undirected):
-            for name in (a, b):
-                if name not in nodes:
-                    raise GraphError(f"edge endpoint {name!r} not declared")
+
+        def node(name: str) -> Node:
+            if name not in nodes:
+                raise GraphError(f"edge endpoint {name!r} not declared")
+            return nodes[name]
+
+        # Each edge iterable is read once, so one-shot iterators work.
         return cls(nodes.values(),
-                   [(nodes[a], nodes[b]) for a, b in directed],
-                   [(nodes[a], nodes[b]) for a, b in undirected])
+                   [(node(a), node(b)) for a, b in directed],
+                   [(node(a), node(b)) for a, b in undirected])
 
     # -- node resolution ---------------------------------------------------
 

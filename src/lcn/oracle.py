@@ -1,6 +1,5 @@
 """Exhaustive ground truth for small models: exact joint tables,
-constraint and independence checking, factorized sampling, and an
-independent separation check.
+constraint and independence checking, and factorized sampling.
 
 Everything here is deliberately brute-force.  Tables enumerate all 2^n
 assignments (n ≤ 12), so every probability is an exact finite sum and the
@@ -19,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import compress
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import GraphError, ModelError
 from .formula import And, Formula, support, truth_mask
@@ -69,9 +68,6 @@ class JointTable:
         if abs(sum(self.probs) - 1.0) > _NORMALIZATION_TOL:
             raise ModelError(f"probabilities sum to {sum(self.probs)!r}, not 1")
 
-    def assignment(self, index: int) -> dict[str, int]:
-        return {p: (index >> j) & 1 for j, p in enumerate(self.props)}
-
     def to_json_dict(self) -> dict:
         return {"props": list(self.props), "probs": list(self.probs)}
 
@@ -84,7 +80,7 @@ def table_from_json_dict(data: Mapping) -> JointTable:
         if not isinstance(probs, list) or any(isinstance(q, bool) for q in probs):
             raise TypeError("'probs' must be a list of numbers")
         probs = [float(q) for q in probs]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"malformed table JSON: {exc}") from None
     return JointTable(tuple(props), tuple(probs))
 
@@ -267,41 +263,3 @@ def sample_chain_factorized(g: MixedGraph, plan: FactorizationPlan,
                  for i, (p, v) in enumerate(zip(probs, potential))]
     total = sum(probs)
     return JointTable(tuple(names), tuple(q / total for q in probs))
-
-
-# ---------------------------------------------------------------------------
-# Independent separation check
-
-def separation_bruteforce(g: MixedGraph,
-                          n1: Iterable[object],
-                          n2: Iterable[object],
-                          n3: Iterable[object]) -> bool:
-    """Path-enumeration separation test, sharing no traversal code with
-    MixedGraph.separates: walk every simple path that avoids n2 and report
-    whether none of them joins n1 to n3."""
-    if g.directed:
-        raise GraphError("separation is defined on undirected graphs only")
-    if len(g.nodes) > MAX_TABLE_PROPS:
-        raise GraphError(f"{len(g.nodes)} nodes exceed the brute-force limit")
-    s1 = {g.resolve(n).name for n in n1}
-    s2 = {g.resolve(n).name for n in n2}
-    s3 = {g.resolve(n).name for n in n3}
-    if (s1 & s2) or (s1 & s3) or (s2 & s3):
-        raise GraphError("node sets must be disjoint")
-
-    adjacency: dict[str, list[str]] = {n.name: [] for n in g.nodes}
-    for a, b in sorted(g.undirected, key=lambda e: (e[0].name, e[1].name)):
-        adjacency[a.name].append(b.name)
-        adjacency[b.name].append(a.name)
-
-    def connects(u: str, on_path: frozenset[str]) -> bool:
-        for v in adjacency[u]:
-            if v in s2 or v in on_path:
-                continue
-            if v in s3:
-                return True
-            if connects(v, on_path | {v}):
-                return True
-        return False
-
-    return not any(connects(s, frozenset([s])) for s in sorted(s1))

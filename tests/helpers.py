@@ -12,6 +12,7 @@ import math
 import random
 from itertools import combinations
 from pathlib import Path
+from typing import Iterable
 
 from lcn.factorize import FactorizationPlan
 from lcn.formula import (
@@ -25,14 +26,21 @@ from lcn.formula import (
     TOP_KEY,
     canonical_key,
     eval_formula,
+    format_formula,
     key_as_single_prop,
     support,
 )
-from lcn.graph import MixedGraph, formula_node, prop_node, super_node
+from lcn.graph import MixedGraph, Node, prop_node, super_node
 from lcn.markov import IndependenceStatement
 from lcn.model import Constraint, Lcn, make_lcn, parse_lcn
-from lcn.errors import ModelError
-from lcn.oracle import DEFAULT_TOL, WEIGHT_FLOOR, JointTable, StatementCheck
+from lcn.errors import GraphError, ModelError
+from lcn.oracle import (
+    DEFAULT_TOL,
+    MAX_TABLE_PROPS,
+    WEIGHT_FLOOR,
+    JointTable,
+    StatementCheck,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -49,6 +57,11 @@ D: P(!!A) >= 0.1
 
 def load_fixture(name: str) -> Lcn:
     return parse_lcn((FIXTURES / name).read_text())
+
+
+def formula_node(f) -> Node:
+    """The semantic dependency-graph node of a non-trivial formula."""
+    return Node("formula", format_formula(f), key=canonical_key(f))
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +629,47 @@ def mixed_structure_ref(lcn: Lcn) -> MixedGraph:
     return MixedGraph(props.values(), directed, undirected)
 
 
+def dependency_graph_ref(lcn: Lcn, merge: str = "semantic") -> MixedGraph:
+    """`dependency_graph` from its docstring's rules, with node-pair sets.
+
+    A formula's identity is its canonical key ("semantic") or its printed
+    form ("syntactic"); the propositions its edges reach are the key's or
+    every one written in it.  A formula with the identity of a bare
+    proposition is that proposition-node, a psi with the identity of
+    `true` adds nothing, a merged node shows the first rendering seen, and
+    self-loops are dropped."""
+    def identity(f):
+        return canonical_key_ref(f) if merge == "semantic" else format_formula_ref(f)
+
+    def reach(f):
+        return canonical_key_ref(f)[0] if merge == "semantic" else support(f)
+
+    props = {name: prop_node(name) for name in lcn.props}
+    bare = {identity(Prop(name)): name for name in lcn.props}
+    named: dict = {}
+    pairs: set = set()
+
+    def node(f):
+        ident = identity(f)
+        if ident in bare:
+            return props[bare[ident]]
+        if ident not in named:
+            key = ident if merge == "semantic" else ((ident,), -1)
+            named[ident] = Node("formula", format_formula_ref(f), key=key)
+        return named[ident]
+
+    for c in lcn.constraints:
+        phi = node(c.phi)
+        pairs.update((phi, props[p]) for p in reach(c.phi))
+        if c.group == "U":
+            pairs.update((props[p], phi) for p in reach(c.phi))
+        if identity(c.psi) != identity(TOP):
+            psi = node(c.psi)
+            pairs.update((props[p], psi) for p in reach(c.psi))
+            pairs.add((psi, phi))
+    return MixedGraph([*props.values(), *named.values()], {(a, b) for a, b in pairs if a != b})
+
+
 def separated_ref(g: MixedGraph, n1, n2, n3) -> bool:
     """Set-based search in an undirected graph: whether n2 blocks every
     path from n1 to n3."""
@@ -631,6 +685,41 @@ def separated_ref(g: MixedGraph, n1, n2, n3) -> bool:
                 seen.add(m)
                 queue.append(m)
     return True
+
+
+def separation_bruteforce(g: MixedGraph,
+                          n1: Iterable[object],
+                          n2: Iterable[object],
+                          n3: Iterable[object]) -> bool:
+    """Path-enumeration separation test, sharing no traversal code with
+    MixedGraph.separates: walk every simple path that avoids n2 and report
+    whether none of them joins n1 to n3."""
+    if g.directed:
+        raise GraphError("separation is defined on undirected graphs only")
+    if len(g.nodes) > MAX_TABLE_PROPS:
+        raise GraphError(f"{len(g.nodes)} nodes exceed the brute-force limit")
+    s1 = {g.resolve(n).name for n in n1}
+    s2 = {g.resolve(n).name for n in n2}
+    s3 = {g.resolve(n).name for n in n3}
+    if (s1 & s2) or (s1 & s3) or (s2 & s3):
+        raise GraphError("node sets must be disjoint")
+
+    adjacency: dict[str, list[str]] = {n.name: [] for n in g.nodes}
+    for a, b in sorted(g.undirected, key=lambda e: (e[0].name, e[1].name)):
+        adjacency[a.name].append(b.name)
+        adjacency[b.name].append(a.name)
+
+    def connects(u: str, on_path: frozenset[str]) -> bool:
+        for v in adjacency[u]:
+            if v in s2 or v in on_path:
+                continue
+            if v in s3:
+                return True
+            if connects(v, on_path | {v}):
+                return True
+        return False
+
+    return not any(connects(s, frozenset([s])) for s in sorted(s1))
 
 
 def enumerate_gmc_ref(g: MixedGraph, max_x: int = 2, max_y: int | None = None,
@@ -692,6 +781,11 @@ def dag_mirror_table(g: MixedGraph, plan: FactorizationPlan,
 
 # ---------------------------------------------------------------------------
 # Per-row oracle loops: references for the row-index oracle
+
+def assignment(table: JointTable, index: int) -> dict[str, int]:
+    """The values of row `index` of `table`: `table.props[j]` is bit j."""
+    return {p: (index >> j) & 1 for j, p in enumerate(table.props)}
+
 
 def check_independence_ref(table: JointTable, statement: IndependenceStatement,
                            tol: float = DEFAULT_TOL) -> StatementCheck:

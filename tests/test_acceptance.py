@@ -30,7 +30,6 @@ from lcn.oracle import (
     check_independence,
     sample_chain_factorized,
     sample_positive_table,
-    separation_bruteforce,
 )
 
 
@@ -215,7 +214,7 @@ def test_criterion_08_oracle_cross_validation():
             b = rng.randint(0, n - a - c)
             s1, s3, s2 = names[:a], names[a:a + c], names[a + c:a + c + b]
             assert g.separates(s1, s2, s3) == \
-                separation_bruteforce(g, s1, s2, s3)
+                helpers.separation_bruteforce(g, s1, s2, s3)
 
         rng = random.Random(77)
         for case in range(100):

@@ -16,7 +16,7 @@ from lcn.build import (
 )
 from lcn.errors import GraphError
 from lcn.formula import parse_formula
-from lcn.graph import MixedGraph, formula_node, prop_node
+from lcn.graph import MixedGraph, prop_node, to_json_dict
 from lcn.model import parse_lcn
 
 
@@ -30,7 +30,7 @@ def names(nodes) -> set[str]:
 def smokers_expected_dep_edges():
     """The full 33-edge dependency graph of the smokers model."""
     p = prop_node
-    f = lambda text: formula_node(parse_formula(text))
+    f = lambda text: helpers.formula_node(parse_formula(text))
     edges = []
     for i, j, k in ((1, 2, 3), (2, 1, 3), (3, 1, 2)):
         psi = f(f"F{j} & F{k}")
@@ -103,6 +103,33 @@ def test_equivalent_formulas_share_a_node_semantic_merge():
 
     dep_syn = dependency_graph(lcn, merge="syntactic")
     assert len([n for n in dep_syn.nodes if n.kind == "formula"]) == 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(helpers.st_random_lcn(), st.sampled_from(["semantic", "syntactic"]))
+def test_dependency_graph_matches_reference(lcn, merge):
+    assert (to_json_dict(dependency_graph(lcn, merge=merge))
+            == to_json_dict(helpers.dependency_graph_ref(lcn, merge)))
+
+
+@pytest.mark.parametrize("text, formula_nodes", [
+    # commuted operands: one node by meaning, two by printed form
+    ("U: 0.1 <= P(A & B) <= 0.2\nD: 0.3 <= P(C given B & A) <= 0.4\n",
+     {"semantic": {"A & B"}, "syntactic": {"A & B", "B & A"}}),
+    # a tautology as the condition is `true` only by meaning
+    ("D: 0.1 <= P(B given A | !A) <= 0.2\n", {"semantic": set(), "syntactic": {"A | !A"}}),
+    ("U: 0.1 <= P(A & B given true) <= 0.2\n",
+     {"semantic": {"A & B"}, "syntactic": {"A & B"}}),
+    # two tree shapes with one printed form make one node in both modes
+    ("U: 0.1 <= P(A & (B & C)) <= 0.2\nD: 0.3 <= P(E given A & B & C) <= 0.4\n",
+     {"semantic": {"A & B & C"}, "syntactic": {"A & B & C"}}),
+], ids=["commuted", "tautology-condition", "given-true", "one-printed-form"])
+@pytest.mark.parametrize("merge", ["semantic", "syntactic"])
+def test_dependency_graph_reference_cases(text, formula_nodes, merge):
+    lcn = parse_lcn(text)
+    dep = dependency_graph(lcn, merge=merge)
+    assert names(n for n in dep.nodes if n.kind == "formula") == formula_nodes[merge]
+    assert to_json_dict(dep) == to_json_dict(helpers.dependency_graph_ref(lcn, merge))
 
 
 def test_self_loops_are_dropped():

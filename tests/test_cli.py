@@ -407,6 +407,25 @@ def test_check_dist_bad_table_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("probs, message", [
+    ("[" + "1" * 400 + ", 0]", "error: malformed table JSON: int too large to convert to float"),
+    ("[" + "1" * 5000 + ", 0]", "Exceeds the limit (4300 digits) for integer string conversion"),
+    ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+], ids=["400-digits", "5000-digits", "deep-nesting"])
+def test_check_dist_huge_json_numbers_without_traceback(tmp_path, probs, message):
+    table = write(tmp_path, "t.json", '{"props": ["A"], "probs": ' + probs + "}")
+    model = write(tmp_path, "m.lcn", "U: 0.5 <= P(A) <= 0.7\n")
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="4300",
+               PYTHONPATH=str(Path(lcn.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "lcn", "check-dist", table, model],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_check_dist_rejects_nan_probabilities(tmp_path, capsys):
     table = write(tmp_path, "t.json", '{"props": ["A"], "probs": [NaN, 1.0]}')
     model = write(tmp_path, "m.lcn", "U: 0.5 <= P(A) <= 0.7\n")

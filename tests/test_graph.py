@@ -27,7 +27,7 @@ from helpers import (
 import lcn
 from lcn.errors import GraphError
 from lcn.formula import And, Prop, parse_formula
-from lcn.graph import MixedGraph, formula_node, prop_node, super_node, to_dot, to_json_dict
+from lcn.graph import MixedGraph, prop_node, super_node, to_dot, to_json_dict
 from lcn.markov import weak_descendants
 
 
@@ -44,11 +44,11 @@ def test_node_kinds_and_identity():
     assert a == prop_node("A")
     assert hash(a) == hash(prop_node("A"))
 
-    f1 = formula_node(parse_formula("A & B"))
-    f2 = formula_node(parse_formula("B & A"))
+    f1 = helpers.formula_node(parse_formula("A & B"))
+    f2 = helpers.formula_node(parse_formula("B & A"))
     assert f1 == f2  # same meaning, one node
     assert f1.name == "A & B"  # display keeps the first rendering
-    assert f1 != formula_node(parse_formula("A | B"))
+    assert f1 != helpers.formula_node(parse_formula("A | B"))
 
     s = super_node(["B", "D", "C"])
     assert s.name == "{B,C,D}"
@@ -58,7 +58,7 @@ def test_node_kinds_and_identity():
 def test_node_sort_order():
     p = prop_node("Z")
     s = super_node(["A"])
-    f = formula_node(And(Prop("A"), Prop("B")))
+    f = helpers.formula_node(And(Prop("A"), Prop("B")))
     assert sorted([f, s, p]) == [p, s, f]  # props < supers < formulas
 
 
@@ -83,6 +83,14 @@ def test_graph_rejects_bad_edges():
         MixedGraph([a], [(a, b)])
     with pytest.raises(GraphError, match="not declared"):
         MixedGraph.from_props("A", [("A", "B")])
+
+
+def test_from_props_reads_one_shot_iterators():
+    g = MixedGraph.from_props(iter("ABC"), iter([("A", "B")]), iter([("B", "C")]))
+    assert g == MixedGraph.from_props("ABC", [("A", "B")], [("B", "C")])
+    assert names(g.children("A")) == {"B"} and names(g.neighbors("B")) == {"C"}
+    with pytest.raises(GraphError, match="edge endpoint 'D' not declared"):
+        MixedGraph.from_props("ABC", iter([("A", "B")]), iter([("C", "D")]))
 
 
 def test_duplicate_edges_collapse():
@@ -387,7 +395,7 @@ PUBLIC_PACKAGE_NAMES = [
     "lcn_descendants", "lcn_parents", "local_statements", "make_lcn", "markov",
     "mixed_structure", "model", "oracle", "parse_formula", "parse_lcn", "prob",
     "prop_node", "prune_hard_constraints", "sample_chain_factorized",
-    "sample_positive_table", "semantically_equal", "separation_bruteforce",
+    "sample_positive_table", "semantically_equal",
     "statement_decomposes", "structure", "support", "to_dot", "to_json_dict",
     "validate", "weak_descendants",
 ]

@@ -11,7 +11,7 @@ from lcn import markov
 from lcn.build import dependency_graph, mixed_structure, structure
 from lcn.errors import GraphError
 from lcn.factorize import condense_cycles
-from lcn.graph import MixedGraph, formula_node, prop_node
+from lcn.graph import MixedGraph, prop_node
 from lcn.markov import (
     CONDITIONS,
     GMC_C,

@@ -27,7 +27,6 @@ from lcn.oracle import (
     prob,
     sample_chain_factorized,
     sample_positive_table,
-    separation_bruteforce,
     table_from_json_dict,
 )
 
@@ -39,10 +38,10 @@ PRODUCT = JointTable(("A", "B"), (0.12, 0.18, 0.28, 0.42))  # P(A)=.6, P(B)=.7
 # Joint tables
 
 def test_assignment_uses_first_prop_as_low_bit():
-    assert TABLE.assignment(0) == {"A": 0, "B": 0}
-    assert TABLE.assignment(1) == {"A": 1, "B": 0}
-    assert TABLE.assignment(2) == {"A": 0, "B": 1}
-    assert TABLE.assignment(3) == {"A": 1, "B": 1}
+    assert helpers.assignment(TABLE, 0) == {"A": 0, "B": 0}
+    assert helpers.assignment(TABLE, 1) == {"A": 1, "B": 0}
+    assert helpers.assignment(TABLE, 2) == {"A": 0, "B": 1}
+    assert helpers.assignment(TABLE, 3) == {"A": 1, "B": 1}
 
 
 def test_table_json_roundtrip():
@@ -125,13 +124,13 @@ def prob_ref(table, f):
     """P(f) as the per-row sum of the rows satisfying `f`, in ascending
     index order."""
     return sum(p for i, p in enumerate(table.probs)
-               if eval_formula(f, table.assignment(i)))
+               if eval_formula(f, helpers.assignment(table, i)))
 
 
 def cond_prob_ref(table, phi, psi):
     joint = margin = 0.0
     for i, p in enumerate(table.probs):
-        a = table.assignment(i)
+        a = helpers.assignment(table, i)
         if eval_formula(psi, a):
             margin += p
             if eval_formula(phi, a):
@@ -392,20 +391,20 @@ def test_sample_chain_factorized_guards(smokers):
 
 def test_separation_bruteforce_goldens():
     g = helpers.quad_undirected()
-    assert separation_bruteforce(g, ["A"], ["B"], ["D"])
-    assert not separation_bruteforce(g, ["A"], [], ["D"])
-    assert separation_bruteforce(g, ["A"], ["B", "D"], ["C"])
-    assert not separation_bruteforce(g, ["A"], ["D"], ["C", "B"])
+    assert helpers.separation_bruteforce(g, ["A"], ["B"], ["D"])
+    assert not helpers.separation_bruteforce(g, ["A"], [], ["D"])
+    assert helpers.separation_bruteforce(g, ["A"], ["B", "D"], ["C"])
+    assert not helpers.separation_bruteforce(g, ["A"], ["D"], ["C", "B"])
 
 
 def test_separation_bruteforce_guards():
     with pytest.raises(GraphError, match="undirected graphs only"):
-        separation_bruteforce(helpers.quad_dag(), ["A"], [], ["D"])
+        helpers.separation_bruteforce(helpers.quad_dag(), ["A"], [], ["D"])
     with pytest.raises(GraphError, match="disjoint"):
-        separation_bruteforce(helpers.quad_undirected(), ["A"], ["A"], ["D"])
+        helpers.separation_bruteforce(helpers.quad_undirected(), ["A"], ["A"], ["D"])
     big = MixedGraph.from_props([f"P{i}" for i in range(13)], [])
     with pytest.raises(GraphError, match="brute-force limit"):
-        separation_bruteforce(big, ["P0"], [], ["P1"])
+        helpers.separation_bruteforce(big, ["P0"], [], ["P1"])
 
 
 @settings(max_examples=80, deadline=None)
@@ -422,4 +421,4 @@ def test_separation_bruteforce_agrees_with_separates(seed):
         return
     rest = names[k1 + k3:]
     s2 = [n for n in rest if rng.random() < 0.5]
-    assert separation_bruteforce(g, s1, s2, s3) == g.separates(s1, s2, s3)
+    assert helpers.separation_bruteforce(g, s1, s2, s3) == g.separates(s1, s2, s3)
