@@ -240,7 +240,9 @@ def _cmd_check_dist(args: argparse.Namespace) -> int:
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
-        raise LcnError(f"{args.table}: {exc}") from None
+        # Drop Python's advice to raise its integer-digit limit: not a CLI option.
+        message = str(exc).split("; use sys.set_int_max_str_digits()")[0]
+        raise LcnError(f"{args.table}: {message}") from None
     table = oracle.table_from_json_dict(data)
     lcn = _load_model(args.model)
     tol = oracle.DEFAULT_TOL if args.tol is None else args.tol
@@ -334,8 +336,9 @@ def _tolerance(text: str) -> float:
         value = float(text)
     except ValueError:
         value = -1.0
-    if not value >= 0.0:  # also rejects NaN
-        raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {text!r}")
+    # A tolerance of 1 or more (or NaN) passes every check, so it is refused.
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1), got {text!r}")
     return value
 
 

@@ -99,14 +99,7 @@ BOTTOM = Bottom()
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer (shared with the model-file parser)
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "num" | "op" | "end"
-    text: str
-    column: int  # 1-based position in the source text
-
+# Parsing (the token cursor is shared with the model-file parser)
 
 _TOKEN_RE = re.compile(
     r"""
@@ -114,132 +107,122 @@ _TOKEN_RE = re.compile(
   | (?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op><=|>=|=|\(|\)|\[|\]|!|&|\||,|:)
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-def tokenize(text: str) -> list[Token]:
-    """Split `text` into tokens, raising ParseError on foreign characters."""
-    tokens: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", column=pos + 1)
-        if m.lastgroup != "ws":
-            tokens.append(Token(m.lastgroup, m.group(), pos + 1))
-        pos = m.end()
-    tokens.append(Token("end", "", len(text) + 1))
-    return tokens
-
-
 class TokenStream:
-    """Cursor over a token list with small convenience accessors."""
+    """Cursor over the tokens of `text`, scanned all at once.
 
-    def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
-        self._i = 0
+    Tokens are `(kind, text, column)` tuples: kind is "ident", "num", "op"
+    or "end", column is 1-based.  The current token's fields are the
+    attributes `kind`, `text` and `column`.  The kinds never share a text,
+    so a token can be tested by its text alone.
+    """
+
+    def __init__(self, text: str):
+        tokens = []
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m.group()!r}", column=m.start() + 1)
+            if kind != "ws":
+                tokens.append((kind, m.group(), m.start() + 1))
+        tokens.append(("end", "", len(text) + 1))
+        self._next = iter(tokens).__next__
+        self.kind, self.text, self.column = self._next()
         self.depth = 0  # open parentheses around the cursor
 
-    @property
-    def current(self) -> Token:
-        return self._tokens[self._i]
+    def advance(self) -> str:
+        """Move past the current token (never past the end); return its text."""
+        text = self.text
+        if self.kind != "end":
+            self.kind, self.text, self.column = self._next()
+        return text
 
-    def advance(self) -> Token:
-        tok = self._tokens[self._i]
-        if tok.kind != "end":
-            self._i += 1
-        return tok
+    def expected(self, what: str, found_end: bool = True) -> ParseError:
+        """The error "expected <what>, found <current token>".  At the end
+        of input it reads "found end of input", or stops after `what` when
+        `found_end` is false."""
+        if self.kind != "end":
+            what += f", found {self.text!r}"
+        elif found_end:
+            what += ", found end of input"
+        return ParseError(f"expected {what}", column=self.column)
 
-    def expect_op(self, text: str) -> Token:
-        tok = self.current
-        if tok.kind != "op" or tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}" if tok.kind != "end"
-                             else f"expected {text!r}, found end of input",
-                             column=tok.column)
-        return self.advance()
+    def expect_op(self, text: str) -> None:
+        if self.text != text:
+            raise self.expected(repr(text))
+        self.advance()
 
-    def at_op(self, text: str) -> bool:
-        return self.current.kind == "op" and self.current.text == text
-
-    def at_keyword(self, word: str) -> bool:
-        return self.current.kind == "ident" and self.current.text == word
+    def expect_end(self) -> None:
+        if self.kind != "end":
+            raise ParseError(f"unexpected trailing input {self.text!r}", column=self.column)
 
 
-def parse_formula(text: str, scope: dict[str, None] | None = None, *,
-                  declare: bool = True) -> Formula:
+def parse_formula(text: str, scope: dict[str, None] | None = None) -> Formula:
     """Parse `text` into a Formula.
 
-    `scope` is an optional dict of known proposition names, used as an
-    ordered set.  Identifiers missing from the scope are added to it when
-    `declare` is true and rejected otherwise.  With no scope every
-    identifier is accepted.
+    `scope` is an optional dict used as an ordered set: every proposition
+    name is added to it in order of first appearance.
     """
     if not text.strip():
         raise ParseError("empty formula")
-    if scope is None:
-        scope, declare = {}, True
-    stream = TokenStream(tokenize(text))
-    formula = _parse_or(stream, scope, declare)
-    tok = stream.current
-    if tok.kind != "end":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", column=tok.column)
+    stream = TokenStream(text)
+    formula = _parse_or(stream, {} if scope is None else scope)
+    stream.expect_end()
     return formula
 
 
-def _parse_or(stream: TokenStream, scope: dict[str, None], declare: bool) -> Formula:
-    node = _parse_and(stream, scope, declare)
-    while stream.at_op("|"):
+def _parse_or(stream: TokenStream, scope: dict[str, None]) -> Formula:
+    node = _parse_and(stream, scope)
+    while stream.text == "|":
         stream.advance()
-        node = Or(node, _parse_and(stream, scope, declare))
+        node = Or(node, _parse_and(stream, scope))
     return node
 
 
-def _parse_and(stream: TokenStream, scope: dict[str, None], declare: bool) -> Formula:
-    node = _parse_unary(stream, scope, declare)
-    while stream.at_op("&"):
+def _parse_and(stream: TokenStream, scope: dict[str, None]) -> Formula:
+    node = _parse_unary(stream, scope)
+    while stream.text == "&":
         stream.advance()
-        node = And(node, _parse_unary(stream, scope, declare))
+        node = And(node, _parse_unary(stream, scope))
     return node
 
 
-def _parse_unary(stream: TokenStream, scope: dict[str, None], declare: bool) -> Formula:
-    tok = stream.current
+def _parse_unary(stream: TokenStream, scope: dict[str, None]) -> Formula:
     negations = 0
-    while tok.kind == "op" and tok.text == "!":
+    while stream.text == "!":
         stream.advance()
         negations += 1
-        tok = stream.current
-    if tok.kind == "op" and tok.text == "(":
+    kind, text = stream.kind, stream.text
+    if text == "(":
         if stream.depth == MAX_NESTING:
             raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
-                             column=tok.column)
+                             column=stream.column)
         stream.advance()
         stream.depth += 1
-        node = _parse_or(stream, scope, declare)
+        node = _parse_or(stream, scope)
         stream.expect_op(")")
         stream.depth -= 1
-    elif tok.kind == "ident":
-        if tok.text == "true":
+    elif kind == "ident":
+        if text == "true":
             node = TOP
-        elif tok.text == "false":
+        elif text == "false":
             node = BOTTOM
-        elif tok.text in RESERVED_WORDS:
-            raise ParseError(f"{tok.text!r} is a reserved word and cannot name a proposition",
-                             column=tok.column)
-        elif declare:
-            scope.setdefault(tok.text)
-            node = Prop(tok.text)
-        elif tok.text not in scope:
-            raise ParseError(f"undeclared proposition {tok.text!r}", column=tok.column)
+        elif text in RESERVED_WORDS:
+            raise ParseError(f"{text!r} is a reserved word and cannot name a proposition",
+                             column=stream.column)
         else:
-            node = Prop(tok.text)
+            scope.setdefault(text)
+            node = Prop(text)
         stream.advance()
-    elif tok.kind == "end":
-        raise ParseError("unexpected end of formula", column=tok.column)
+    elif kind == "end":
+        raise ParseError("unexpected end of formula", column=stream.column)
     else:
-        raise ParseError(f"unexpected token {tok.text!r}", column=tok.column)
+        raise ParseError(f"unexpected token {text!r}", column=stream.column)
     while negations:
         node, negations = Not(node), negations - 1
     return node

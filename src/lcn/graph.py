@@ -565,8 +565,11 @@ def to_json_dict(g: MixedGraph) -> dict:
     }
 
 
+_DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
+
+
 def _dot_quote(s: str) -> str:
-    if s.isidentifier():
+    if s.isidentifier() and s.lower() not in _DOT_KEYWORDS:  # DOT keywords ignore case
         return s
     return '"' + s.replace('"', '\\"') + '"'
 

@@ -31,7 +31,6 @@ from .formula import (
     canonical_key,
     format_formula,
     support_in_order,
-    tokenize,
     _parse_or,
 )
 
@@ -137,15 +136,14 @@ def parse_lcn(text: str) -> Lcn:
 
 
 def _parse_line(line: str, lineno: int, scope: dict[str, None]) -> Constraint:
-    stream = TokenStream(tokenize(line))
-    tok = stream.current
-    if tok.kind != "ident" or tok.text not in GROUPS:
+    stream = TokenStream(line)
+    if stream.text not in GROUPS:
         raise ParseError("each constraint line must start with 'U:' or 'D:'",
-                         column=tok.column)
-    group = stream.advance().text
+                         column=stream.column)
+    group = stream.advance()
     stream.expect_op(":")
 
-    if stream.current.kind == "num":
+    if stream.kind == "num":
         # NUM '<=' P(...) '<=' NUM
         lo = _parse_number(stream)
         stream.expect_op("<=")
@@ -154,17 +152,12 @@ def _parse_line(line: str, lineno: int, scope: dict[str, None]) -> Constraint:
         hi = _parse_number(stream)
     else:
         phi, psi = _parse_prob(stream, scope)
-        tok = stream.current
-        if tok.kind == "op" and tok.text in ("=", "<=", ">="):
+        op = stream.text
+        if op in ("=", "<=", ">="):
             stream.advance()
             value = _parse_number(stream)
-            if tok.text == "=":
-                lo = hi = value
-            elif tok.text == "<=":
-                lo, hi = 0.0, value
-            else:
-                lo, hi = value, 1.0
-        elif tok.kind == "ident" and tok.text == "in":
+            lo, hi = {"=": (value, value), "<=": (0.0, value), ">=": (value, 1.0)}[op]
+        elif op == "in":
             stream.advance()
             stream.expect_op("[")
             lo = _parse_number(stream)
@@ -172,43 +165,30 @@ def _parse_line(line: str, lineno: int, scope: dict[str, None]) -> Constraint:
             hi = _parse_number(stream)
             stream.expect_op("]")
         else:
-            raise ParseError(
-                f"expected a bound ('=', '<=', '>=', or 'in [lo, hi]'), "
-                f"found {tok.text!r}" if tok.kind != "end"
-                else "expected a bound ('=', '<=', '>=', or 'in [lo, hi]')",
-                column=tok.column)
+            raise stream.expected("a bound ('=', '<=', '>=', or 'in [lo, hi]')", found_end=False)
 
-    tok = stream.current
-    if tok.kind != "end":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", column=tok.column)
+    stream.expect_end()
     return Constraint(lo, hi, phi, psi, group, line=lineno)
 
 
 def _parse_prob(stream: TokenStream, scope: dict[str, None]) -> tuple[Formula, Formula]:
-    tok = stream.current
-    if tok.kind != "ident" or tok.text != "P":
-        raise ParseError(f"expected 'P(', found {tok.text!r}" if tok.kind != "end"
-                         else "expected 'P(', found end of input",
-                         column=tok.column)
+    if stream.text != "P":
+        raise stream.expected("'P('")
     stream.advance()
     stream.expect_op("(")
-    phi = _parse_or(stream, scope, True)
+    phi = _parse_or(stream, scope)
     psi: Formula = TOP
-    if stream.at_keyword("given"):
+    if stream.text == "given":
         stream.advance()
-        psi = _parse_or(stream, scope, True)
+        psi = _parse_or(stream, scope)
     stream.expect_op(")")
     return phi, psi
 
 
 def _parse_number(stream: TokenStream) -> float:
-    tok = stream.current
-    if tok.kind != "num":
-        raise ParseError(f"expected a number, found {tok.text!r}" if tok.kind != "end"
-                         else "expected a number, found end of input",
-                         column=tok.column)
-    stream.advance()
-    return float(tok.text)
+    if stream.kind != "num":
+        raise stream.expected("a number")
+    return float(stream.advance())
 
 
 # ---------------------------------------------------------------------------

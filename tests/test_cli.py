@@ -424,6 +424,7 @@ def test_check_dist_huge_json_numbers_without_traceback(tmp_path, probs, message
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "set_int_max_str_digits" not in proc.stderr
 
 
 def test_check_dist_rejects_nan_probabilities(tmp_path, capsys):
@@ -442,7 +443,7 @@ def test_check_dist_default_tolerance_is_the_oracle_default(tmp_path):
     assert main(["check-dist", table, model, "--tol", "0"]) == 1
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1e-9", "x"])
+@pytest.mark.parametrize("tol", ["nan", "-1e-9", "x", "inf", "1"])
 def test_check_dist_bad_tolerance_is_usage_error(tmp_path, tol):
     table = write(tmp_path, "t.json", json.dumps({"props": ["A"], "probs": [0.4, 0.6]}))
     model = write(tmp_path, "m.lcn", "U: 0.5 <= P(A) <= 0.7\n")
@@ -462,7 +463,8 @@ def test_verify_passes_on_chain_model(capsys):
 
 
 @pytest.mark.parametrize("option", [["--samples", "0"], ["--samples", "-3"],
-                                    ["--tol", "nan"], ["--tol", "-1"]])
+                                    ["--tol", "nan"], ["--tol", "-1"],
+                                    ["--tol", "inf"], ["--tol", "1"]])
 def test_verify_vacuous_or_nan_options_are_usage_errors(option):
     with pytest.raises(SystemExit) as exc:
         main(["verify", QUAD_MIXED] + option)

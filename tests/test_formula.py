@@ -88,13 +88,6 @@ def test_parse_scope_declares_in_order():
     assert list(scope) == ["B", "A", "C"]
 
 
-def test_parse_without_declaration_rejects_unknown():
-    scope = {"A": None}
-    assert parse_formula("A & A", scope, declare=False) == And(A, A)
-    with pytest.raises(ParseError, match="undeclared"):
-        parse_formula("A & B", scope, declare=False)
-
-
 # ---------------------------------------------------------------------------
 # Printing
 

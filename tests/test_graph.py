@@ -29,6 +29,7 @@ from lcn.errors import GraphError
 from lcn.formula import And, Prop, parse_formula
 from lcn.graph import MixedGraph, prop_node, super_node, to_dot, to_json_dict
 from lcn.markov import weak_descendants
+from lcn.model import parse_lcn
 
 
 def names(nodes) -> set[str]:
@@ -139,7 +140,8 @@ GRAPH_FAMILIES = [random_chain_graph, random_mixed_graph, helpers.random_mixed_k
 
 
 def _dot_quote_ref(s: str) -> str:
-    return s if s.isidentifier() else '"' + s.replace('"', '\\"') + '"'
+    keyword = s.lower() in ("node", "edge", "graph", "digraph", "subgraph", "strict")
+    return s if s.isidentifier() and not keyword else '"' + s.replace('"', '\\"') + '"'
 
 
 @settings(max_examples=80, deadline=None)
@@ -449,6 +451,18 @@ def test_to_dot_directed_and_mixed():
     assert "A -> B;" in text
     assert "B -> D [dir=none];" in text
     assert to_dot(quad_chain()) == text  # deterministic
+
+
+def test_to_dot_quotes_dot_keywords():
+    # DOT keywords are case-insensitive; unquoted, `node;` is not a node statement.
+    lcn = parse_lcn("U: P(node | Edge) = 0.5\nD: P(GRAPH given Strict & subgraph) = 0.2\n"
+                    "U: P(digraph) = 0.1\nU: P(nodes) = 0.1\n")
+    from lcn.build import structure
+    lines = to_dot(structure(lcn)).splitlines()
+    for name in ("node", "Edge", "GRAPH", "Strict", "subgraph", "digraph"):
+        assert f'  "{name}";' in lines
+    assert "  nodes;" in lines
+    assert '  "Strict" -> "GRAPH";' in lines
 
 
 def test_to_dot_pure_undirected():
