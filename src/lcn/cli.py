@@ -49,15 +49,10 @@ DEFAULT_GRAPH_FOR_CONDITION = {
 }
 
 
-def _color_enabled() -> bool:
-    value = os.environ.get("LCN_COLOR", "")
-    return value not in ("", "0")
-
-
 def _paint(text: str, code: str) -> str:
-    if _color_enabled():
-        return f"\x1b[{code}m{text}\x1b[0m"
-    return text
+    if os.environ.get("LCN_COLOR", "") in ("", "0"):
+        return text
+    return f"\x1b[{code}m{text}\x1b[0m"
 
 
 _STATUS_STYLE = {"satisfied": "32", "violated": "31", "vacuous": "33"}

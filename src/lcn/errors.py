@@ -21,14 +21,9 @@ class ParseError(LcnError):
         super().__init__(str(self))
 
     def __str__(self) -> str:
-        where = []
-        if self.line is not None:
-            where.append(f"line {self.line}")
-        if self.column is not None:
-            where.append(f"column {self.column}")
-        if where:
-            return f"{', '.join(where)}: {self.message}"
-        return self.message
+        where = ", ".join(f"{label} {value}" for label, value in
+                          (("line", self.line), ("column", self.column)) if value is not None)
+        return f"{where}: {self.message}" if where else self.message
 
 
 class GraphError(LcnError):

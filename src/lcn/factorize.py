@@ -192,53 +192,39 @@ def prune_hard_constraints(lcn: Lcn, plan: FactorizationPlan) -> PruneReport:
     formula's propositions.  A hard constraint whose propositions fit in
     no single clique is reported as an error rather than accepted.
     """
-    # Configurations are kept as indices: bit j of index idx is the value
-    # of the clique's j-th proposition.
-    spaces: list[tuple[int, tuple[str, ...], list[int]]] = []
-    for ci, factor in enumerate(plan.factors):
-        for clique in factor.cliques:
-            names = tuple(n.name for n in clique)
-            spaces.append((ci, names, list(range(1 << len(names)))))
-
+    # Each clique keeps its surviving configurations as one mask: bit idx is
+    # the configuration whose bit j is the value of the clique's j-th name.
+    spaces = [[ci, tuple(n.name for n in clique), (1 << (1 << len(clique))) - 1]
+              for ci, factor in enumerate(plan.factors) for clique in factor.cliques]
     errors: list[str] = []
-    removed_counts = [0] * len(spaces)
     for c in lcn.constraints:
         if c.lo != 1.0:
             continue
         effective = c.phi if canonical_key(c.psi) == TOP_KEY else Or(Not(c.psi), c.phi)
         key = canonical_key(effective)
-        deps = key[0]
         if key == TOP_KEY:
             continue
         if key == BOTTOM_KEY:
             errors.append(f"hard constraint is unsatisfiable: {format_constraint(c)}")
             continue
-        home = None
-        for si, (_, names, _) in enumerate(spaces):
-            if set(deps) <= set(names):
-                home = si
-                break
+        home = next((space for space in spaces if set(key[0]) <= set(space[1])), None)
         if home is None:
             errors.append(
                 "hard constraint propositions do not fit inside any single "
                 f"clique: {format_constraint(c)}"
             )
             continue
-        _, names, configs = spaces[home]
         # LSB-first indices, so the MSB-first kernel gets the names reversed;
         # propositions of the formula outside the clique are irrelevant.
-        mask = truth_mask(effective, names[::-1])
-        kept = [idx for idx in configs if mask >> idx & 1]
-        removed_counts[home] += len(configs) - len(kept)
-        spaces[home] = (spaces[home][0], names, kept)
+        home[2] &= truth_mask(effective, home[1][::-1])
 
     return PruneReport(
         cliques=tuple(
             CliqueConfigurations(
                 ci, names,
-                tuple(tuple((idx >> j) & 1 for j in range(len(names))) for idx in configs),
-                removed_counts[si])
-            for si, (ci, names, configs) in enumerate(spaces)
+                tuple(tuple(idx >> j & 1 for j in range(len(names))) for idx in _bits(alive)),
+                (1 << len(names)) - alive.bit_count())
+            for ci, names, alive in spaces
         ),
         errors=tuple(errors),
     )

@@ -104,6 +104,11 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _pairs(masks: list[int]) -> list[tuple[int, int]]:
+    """Every (i, j) with bit j set in `masks[i]`, ordered by i, then j."""
+    return [(i, j) for i, mask in enumerate(masks) for j in _bits(mask)]
+
+
 def _union(adj: list[int], mask: int) -> int:
     """The union of `adj[i]` over the set bits i of `mask`."""
     out = 0
@@ -118,10 +123,11 @@ class MixedGraph:
     """Immutable mixed graph whose adjacency is held as node bitmasks.
 
     `_child_masks` and `_neighbor_masks` are the only stored edges;
-    `_parent_masks` and `_boundary_masks` (parents | neighbours) are
-    derived from them, one mask per node.  `directed` (ordered pairs) and
-    `undirected` (pairs in node order) are views computed from the masks on
-    each access.  Query methods accept nodes or plain proposition names.
+    `_parent_masks`, `_boundary_masks` (parents | neighbours) and
+    `_step_masks` (children | neighbours) are derived from them, one per
+    node.  `directed` (ordered pairs) and `undirected` (pairs in node order)
+    are views computed from the masks on each access.  Query methods accept
+    nodes or plain proposition names.
     `_chain_masks()`, built on first use, pairs each chain component's mask
     with the mask of its parents: every node with a child in the component,
     members included.
@@ -188,6 +194,7 @@ class MixedGraph:
         self._child_masks = children
         self._neighbor_masks = neighbors
         self._boundary_masks = [p | nb for p, nb in zip(parents, neighbors)]
+        self._step_masks = [c | nb for c, nb in zip(children, neighbors)]
         # Built on first use: chain-component and step-component masks.
         self._chains: list[tuple[int, int]] | None = None
         self._sccs: list[int] | None = None
@@ -213,11 +220,7 @@ class MixedGraph:
     # -- node resolution ---------------------------------------------------
 
     def resolve(self, node: "Node | str") -> Node:
-        if isinstance(node, Node):
-            if node not in self._index:
-                raise GraphError(f"unknown node {node!r}")
-            return node
-        found = self._by_name.get(node)
+        found = node if node in self._index else self._by_name.get(node)
         if found is None:
             raise GraphError(f"unknown node {node!r}")
         return found
@@ -226,11 +229,7 @@ class MixedGraph:
         return frozenset(self.resolve(n) for n in nodes)
 
     def __contains__(self, node: "Node | str") -> bool:
-        try:
-            self.resolve(node)
-            return True
-        except GraphError:
-            return False
+        return node in self._index or node in self._by_name
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, MixedGraph)
@@ -249,16 +248,13 @@ class MixedGraph:
     @property
     def directed(self) -> frozenset[Edge]:
         """The directed edges (a, b), read off the child masks."""
-        return frozenset((a, b) for a, mask in zip(self.nodes, self._child_masks)
-                         for b in self._ordered(mask))
+        return frozenset((self.nodes[i], self.nodes[j]) for i, j in _pairs(self._child_masks))
 
     @property
     def undirected(self) -> frozenset[Edge]:
         """The undirected edges as pairs (a, b) with a before b in node order."""
         nodes = self.nodes
-        return frozenset((nodes[i], nodes[j])
-                         for i, mask in enumerate(self._neighbor_masks)
-                         for j in _bits(mask >> i << i))
+        return frozenset((nodes[i], nodes[j]) for i, j in _pairs(self._neighbor_masks) if i < j)
 
     # -- masks -------------------------------------------------------------
 
@@ -343,7 +339,7 @@ class MixedGraph:
         once per graph; callers must not modify the list."""
         if self._sccs is not None:
             return self._sccs
-        steps = [c | nb for c, nb in zip(self._child_masks, self._neighbor_masks)]
+        steps = self._step_masks
         order: list[int] = []
         seen = 0
         for start in range(len(self.nodes)):
@@ -388,24 +384,22 @@ class MixedGraph:
 
     # -- reachability ------------------------------------------------------
 
-    def _directed_path_reach(self, start: int, forbidden: int = 0) -> int:
-        """Mask of the nodes reachable from node `start` by a simple path
-        containing at least one directed edge, barring the nodes of
-        `forbidden` from interior positions (they may still end a path).
+    def _directed_path_reach(self, start: int, component: int) -> int:
+        """Mask of the nodes of `component`, the step component of node
+        `start`, reached from it by a simple path with a directed edge.
 
         Walk-based reachability is not sound here: a walk revisiting a node
         need not contain a *simple* directed path to its endpoint.  So this
-        backtracks over all simple paths, depth first on an explicit stack
-        with one frame per path node: the path's mask, whether it has used a
-        directed edge, and the steps from its last node still to try (bit v
-        an undirected step to v, bit n + v a directed one).  Graphs at this
-        library's scale keep that affordable.
+        backtracks over all simple paths inside the component, depth first
+        on an explicit stack with one frame per path node: the path's mask,
+        whether it has used a directed edge, and the steps from its last
+        node still to try (bit v an undirected step to v, bit n + v a
+        directed one).  The first frame holds one undirected step onto start.
         """
         n = len(self.nodes)
         children, neighbors = self._child_masks, self._neighbor_masks
         reached = 0
-        path = 1 << start
-        stack = [[path, False, (children[start] << n | neighbors[start]) & ~(path << n | path)]]
+        stack = [[0, False, 1 << start]]
         while stack:
             frame = stack[-1]
             steps = frame[2]
@@ -421,21 +415,52 @@ class MixedGraph:
                 used = True
             if used:
                 reached |= 1 << v
-            if not forbidden >> v & 1:
-                path = frame[0] | 1 << v
-                stack.append([path, used,
-                              (children[v] << n | neighbors[v]) & ~(path << n | path)])
+            path = frame[0] | 1 << v
+            free = component & ~path
+            stack.append([path, used, (children[v] & free) << n | neighbors[v] & free])
         return reached
+
+    def _descendant_mask(self, i: int) -> int:
+        """Mask of the nodes reachable from node i by a directed path.
+
+        Let S be the step component of i.  A step path from i leaves S along
+        a directed edge, as an undirected edge out of S would lead back into
+        it; so outside S the descendants are the step-reachable nodes.  A
+        simple path from i to a node of S stays in S, as each of its nodes
+        is reached from i and reaches i through that endpoint; so inside S
+        they are what the search confined to S finds.  That search runs
+        only when S holds a directed edge, and so never on a chain graph.
+        """
+        component = self._step_components()[i]
+        reached = self._reach(1 << i, self._step_masks) & ~component
+        if _union(self._child_masks, component) & component:
+            reached |= self._directed_path_reach(i, component)
+        return reached
+
+    def _strict_descendant_mask(self, i: int) -> int:
+        """Mask of the nodes reachable from node i by a directed path whose
+        interior avoids the boundary B of i.
+
+        An undirected first step enters B and so ends the path before any
+        directed edge: the path starts at a child of i, then steps through
+        nodes outside B.  A walk of that kind shortens to a simple path
+        whose interior is part of the walk's, and it never returns to i, as
+        whatever steps to i lies in B.  So the strict descendants are the
+        children of i plus the step closure from them that expands no node
+        of B.
+        """
+        barred = self._boundary_masks[i]
+        children = self._child_masks[i]
+        return self._reach(children & ~barred, self._step_masks, ~barred) | children
 
     def descendants(self, node: "Node | str") -> frozenset[Node]:
         """Nodes reachable from `node` by a directed path."""
-        return self._members(self._directed_path_reach(self._position(node)))
+        return self._members(self._descendant_mask(self._position(node)))
 
     def strict_descendants(self, node: "Node | str") -> frozenset[Node]:
         """Descendants reachable by a directed path whose intermediate
         nodes all avoid the boundary of `node` (the endpoint may not)."""
-        i = self._position(node)
-        return self._members(self._directed_path_reach(i, self._boundary_masks[i]))
+        return self._members(self._strict_descendant_mask(self._position(node)))
 
     # -- derived graphs ----------------------------------------------------
 
@@ -537,17 +562,16 @@ def _check_disjoint(*sets: frozenset[Node]) -> None:
 # ---------------------------------------------------------------------------
 # Serialization
 
-def _node_ids(g: MixedGraph) -> Mapping[Node, str]:
-    """Stable short identifiers: proposition names as-is, `f<i>`/`s<i>` for
-    formula and super-nodes in sorted order."""
-    ids: dict[Node, str] = {}
+def _node_ids(g: MixedGraph) -> list[str]:
+    """Stable short identifiers in node order: proposition names as-is,
+    `f<i>`/`s<i>` for formula and super-nodes in sorted order."""
+    ids: list[str] = []
     counters = {"formula": 0, "super": 0}
     for n in g.nodes:
         if n.kind == "prop":
-            ids[n] = n.name
+            ids.append(n.name)
         else:
-            prefix = "f" if n.kind == "formula" else "s"
-            ids[n] = f"{prefix}{counters[n.kind]}"
+            ids.append(f"{n.kind[0]}{counters[n.kind]}")  # the kind's initial
             counters[n.kind] += 1
     return ids
 
@@ -556,12 +580,9 @@ def to_json_dict(g: MixedGraph) -> dict:
     """JSON-ready dict with sorted node and edge lists."""
     ids = _node_ids(g)
     return {
-        "nodes": [
-            {"id": ids[n], "kind": n.kind, "label": n.name}
-            for n in g.nodes
-        ],
-        "directed": sorted([ids[a], ids[b]] for a, b in g.directed),
-        "undirected": sorted([ids[a], ids[b]] for a, b in g.undirected),
+        "nodes": [{"id": i, "kind": n.kind, "label": n.name} for i, n in zip(ids, g.nodes)],
+        "directed": sorted([ids[i], ids[j]] for i, j in _pairs(g._child_masks)),
+        "undirected": sorted([ids[i], ids[j]] for i, j in _pairs(g._neighbor_masks) if i < j),
     }
 
 
@@ -579,11 +600,12 @@ def to_dot(g: MixedGraph) -> str:
     `digraph` with undirected edges drawn arrowless; formula nodes appear
     as dashed boxes."""
     ids = _node_ids(g)
+    quoted = [_dot_quote(ident) for ident in ids]
     pure_undirected = not any(g._child_masks)
     lines = ["graph G {" if pure_undirected else "digraph G {"]
-    for n in g.nodes:
+    for n, ident, name in zip(g.nodes, ids, quoted):
         attrs = []
-        if ids[n] != n.name:
+        if ident != n.name:
             attrs.append(f'label="{n.name}"')
         if n.kind == "formula":
             attrs.append("shape=box")
@@ -591,15 +613,11 @@ def to_dot(g: MixedGraph) -> str:
         if n.kind == "super":
             attrs.append("shape=box")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {_dot_quote(ids[n])}{suffix};")
+        lines.append(f"  {name}{suffix};")
     # Masks walked in node order list the edges sorted by endpoint sort keys.
-    quoted = [_dot_quote(ids[n]) for n in g.nodes]
-    for i, mask in enumerate(g._child_masks):
-        for j in _bits(mask):
-            lines.append(f"  {quoted[i]} -> {quoted[j]};")
+    lines += [f"  {quoted[i]} -> {quoted[j]};" for i, j in _pairs(g._child_masks)]
     arrow, tail = ("--", "") if pure_undirected else ("->", " [dir=none]")
-    for i, mask in enumerate(g._neighbor_masks):
-        for j in _bits(mask >> i << i):
-            lines.append(f"  {quoted[i]} {arrow} {quoted[j]}{tail};")
+    lines += [f"  {quoted[i]} {arrow} {quoted[j]}{tail};"
+              for i, j in _pairs(g._neighbor_masks) if i < j]
     lines.append("}")
     return "\n".join(lines) + "\n"

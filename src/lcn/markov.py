@@ -113,10 +113,11 @@ def local_statements(g: MixedGraph, condition: str) -> frozenset[IndependenceSta
             excluded = _descendants_mask(g, 1 << i, given, formulas)
         elif condition == LMC_D:
             given = g._parent_masks[i]
-            excluded = g._directed_path_reach(i)
+            excluded = g._descendant_mask(i)
         else:  # LMC_C, LMC_CSTR: the boundary is the given side
             given = g._boundary_masks[i]
-            excluded = g._directed_path_reach(i, given if condition == LMC_CSTR else 0)
+            excluded = (g._strict_descendant_mask(i) if condition == LMC_CSTR
+                        else g._descendant_mask(i))
         rest = variables & ~(given | excluded | 1 << i)
         if rest:
             # Lists: the statement sorts them into tuples of known length.  A
@@ -222,7 +223,8 @@ def weak_descendants(g: MixedGraph, node) -> frozenset[Node]:
     undirected edge first."""
     if g.has_directed_cycle():
         raise GraphError("weak descendants are defined on chain graphs only")
-    return g.descendants(node) - g.strict_descendants(node)
+    i = g._position(node)
+    return g._members(g._descendant_mask(i) & ~g._strict_descendant_mask(i))
 
 
 def statement_decomposes(strong: IndependenceStatement,

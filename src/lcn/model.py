@@ -121,13 +121,16 @@ def parse_lcn(text: str) -> Lcn:
     scope: dict[str, None] = {}
     constraints: list[Constraint] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        cut = raw.split("#", 1)[0]
+        line = cut.strip()
         if not line:
             continue
         try:
             constraints.append(_parse_line(line, lineno, scope))
         except ParseError as exc:
-            raise ParseError(exc.message, line=lineno, column=exc.column) from None
+            # Columns count on the file line: add back the leading blanks.
+            column = exc.column and exc.column + len(cut) - len(cut.lstrip())
+            raise ParseError(exc.message, line=lineno, column=column) from None
         except ModelError as exc:
             raise ParseError(str(exc), line=lineno) from None
     if not scope:

@@ -195,6 +195,17 @@ def random_chain_graph(rng: random.Random, n: int,
     return MixedGraph.from_props(names, directed, undirected)
 
 
+def random_overlapping_graph(rng: random.Random, n: int, p: float = 0.3) -> MixedGraph:
+    """Dense random mixed graph whose edges are drawn independently, so one
+    pair may hold a directed edge either way and an undirected edge at once."""
+    names = [f"X{i}" for i in range(n)]
+    pairs = list(combinations(names, 2))
+    return MixedGraph.from_props(
+        names,
+        [e for a, b in pairs for e in ((a, b), (b, a)) if rng.random() < p],
+        [(a, b) for a, b in pairs if rng.random() < p])
+
+
 def random_mixed_kinds_graph(rng: random.Random, n: int) -> MixedGraph:
     """`random_mixed_graph` with its nodes relabelled into propositions,
     super-nodes and formula nodes in turn, so that the node order differs

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import random
 import sys
@@ -272,14 +273,20 @@ def test_chain_graph_descendants_match_component_reference(seed, n):
 
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10**6), st.integers(1, 8), st.sampled_from([0.12, 0.3]))
-def test_descendants_match_simple_path_reference(seed, n, density):
-    g = random_mixed_graph(random.Random(seed), n, density, density, density / 3)
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 8),
+       st.sampled_from([random_chain_graph, random_mixed_graph,
+                        functools.partial(random_mixed_graph, p_dir=0.3, p_und=0.3, p_bi=0.1),
+                        helpers.random_overlapping_graph, helpers.random_mixed_kinds_graph]))
+def test_descendants_match_simple_path_reference(seed, n, family):
+    g = family(random.Random(seed), n)
     for node in g.nodes:
-        assert g.descendants(node) == helpers.directed_path_reach_ref(g, node)
-        assert g.strict_descendants(node) == helpers.directed_path_reach_ref(
-            g, node, g.boundary(node))
+        de = helpers.directed_path_reach_ref(g, node)
+        sde = helpers.directed_path_reach_ref(g, node, g.boundary(node))
+        assert g.descendants(node) == de
+        assert g.strict_descendants(node) == sde
+        if g.is_chain_graph():
+            assert weak_descendants(g, node) == de - sde
 
 
 def test_long_directed_path_answers_at_the_default_recursion_limit():

@@ -1,11 +1,17 @@
 import functools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import lcn
 from helpers import stmt, stmt_strs
 from lcn import markov
 from lcn.build import dependency_graph, mixed_structure, structure
@@ -160,13 +166,32 @@ def test_non_lcn_conditions_reject_formula_nodes(smokers):
 dense_mixed_graph = functools.partial(helpers.random_mixed_graph, p_dir=0.25, p_und=0.2, p_bi=0.1)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.sampled_from([helpers.random_chain_graph, helpers.random_mixed_graph,
-                        dense_mixed_graph]),
+                        dense_mixed_graph, helpers.random_overlapping_graph]),
        st.integers(1, 8), st.integers(0, 10**6), st.sampled_from([LMC_C, LMC_CSTR, LMC_D]))
 def test_local_statements_match_set_based_reference(family, n, seed, condition):
     g = family(random.Random(seed), n)
     assert local_statements(g, condition) == helpers.local_statements_ref(g, condition)
+
+
+def test_local_statements_need_no_whole_graph_path_search():
+    # Strict descendants never search, and a chain graph has no step
+    # component holding a directed edge.  A search over every simple path
+    # of the whole graph takes minutes on each of these.
+    script = textwrap.dedent("""
+        import random
+        from helpers import random_chain_graph, random_mixed_graph
+        from lcn.markov import local_statements
+        local_statements(random_mixed_graph(random.Random(22), 22, 0.2, 0.1, 0.05), "lmc-cstr")
+        chain = random_chain_graph(random.Random(200), 200)
+        for condition in ("lmc-c", "lmc-cstr", "lmc-d"):
+            local_statements(chain, condition)
+    """)
+    path = os.pathsep.join([str(Path(lcn.__file__).resolve().parents[1]),
+                            str(Path(__file__).resolve().parent)])
+    subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                   timeout=30, check=True)
 
 
 @settings(max_examples=60, deadline=None)

@@ -84,9 +84,8 @@ MODEL_ERRORS = [
      "line 1, column 14: 'D' is a reserved word and cannot name a proposition"),
     (f"U: P({TOO_DEEP}) = 0.5", "line 1, column 106: parentheses nested deeper than 100"),
     ("U: P(A & ) = 0.5 $", "line 1, column 18: unexpected character '$'"),
-    # Columns count from the start of the line with its comment and
-    # surrounding blanks removed.
-    ("# comment\n\n   U: P(A) = 0.5 $  # x", "line 3, column 15: unexpected character '$'"),
+    # Columns count from the start of the file line, leading blanks included.
+    ("# comment\n\n   U: P(A) = 0.5 $  # x", "line 3, column 18: unexpected character '$'"),
     ("U: P(A) = 0.5\nD: P(B @", "line 2, column 8: unexpected character '@'"),
     ("U: P(A) = 0.5\nU: P(B) <= 1\nD: P(C given A) >= .5 5",
      "line 3, column 23: unexpected trailing input '5'"),
