@@ -49,9 +49,23 @@ MAX_NESTING = 100
 
 
 class Formula:
-    """Base class of all formula nodes.  Instances are immutable."""
+    """Base class of all formula nodes.  Instances are immutable.  `==` and
+    `hash` read the postfix sequence of node types and proposition names,
+    which spells the tree out, so deep formulas do not recurse."""
 
     __slots__ = ()
+
+    def _postfix(self) -> tuple:
+        return tuple(node.name if type(node) is Prop else type(node)
+                     for node in _postorder(self))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        return self is other or self._postfix() == other._postfix()
+
+    def __hash__(self) -> int:
+        return hash(self._postfix())
 
     def __str__(self) -> str:
         return format_formula(self)
@@ -60,36 +74,36 @@ class Formula:
         return f"{type(self).__name__}({format_formula(self)!r})"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Prop(Formula):
     """A proposition leaf."""
 
     name: str
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Top(Formula):
     """The tautology literal (`true`)."""
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Bottom(Formula):
     """The contradiction literal (`false`)."""
 
@@ -273,6 +287,28 @@ def _format(f: Formula, level: int) -> str:
 # ---------------------------------------------------------------------------
 # Semantics
 
+def _postorder(f: Formula) -> list[Formula]:
+    """The nodes of `f` with operands first, left to right: the one walk
+    over a formula tree outside the parser and the printer.  It keeps its
+    own stack, so deep formulas do not recurse."""
+    order: list[Formula] = []
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        kind = type(node)
+        if kind is And or kind is Or:
+            stack += (node.left, node.right)
+        elif kind is Not:
+            stack.append(node.child)
+        elif kind is not Prop and kind is not Top and kind is not Bottom:
+            raise TypeError(f"not a formula: {node!r}")
+    # Every node precedes the nodes of its right operand and those of its
+    # left one, so the reversed order is the postorder.
+    order.reverse()
+    return order
+
+
 def eval_formula(f: Formula, assignment: Mapping[str, int]) -> bool:
     """Evaluate `f` under a total truth assignment.
 
@@ -282,50 +318,33 @@ def eval_formula(f: Formula, assignment: Mapping[str, int]) -> bool:
     its value is needed.  The walk keeps its own stack, so deep formulas
     do not recurse.
     """
-    pending: list[Formula] = []
-    node = f
-    while True:
-        while isinstance(node, (Not, And, Or)):
-            pending.append(node)
-            node = node.child if isinstance(node, Not) else node.left
-        if isinstance(node, Prop):
-            try:
-                value = bool(assignment[node.name])
-            except KeyError:
-                raise LcnError(f"assignment is missing proposition {node.name!r}") from None
-        elif isinstance(node, Top):
-            value = True
-        elif isinstance(node, Bottom):
-            value = False
+    # A missing proposition stands for its own value, and each operator
+    # passes it on exactly when short-circuit evaluation would need it.
+    values: list[bool | Prop] = []
+    for node in _postorder(f):
+        kind = type(node)
+        if kind is Prop:
+            values.append(bool(assignment[node.name]) if node.name in assignment else node)
+        elif kind is And or kind is Or:
+            right = values.pop()
+            # A true left side of `&` or a false one of `|`: the right
+            # side's value is the whole operation's value.
+            if values[-1] is (kind is And):
+                values[-1] = right
+        elif kind is Not:
+            if type(values[-1]) is bool:
+                values[-1] = not values[-1]
         else:
-            raise TypeError(f"not a formula: {node!r}")
-        while pending:
-            op = pending.pop()
-            if isinstance(op, Not):
-                value = not value
-            elif value == isinstance(op, And):
-                # A true left side of `&` or a false one of `|`: the right
-                # side's value is the whole operation's value.
-                node = op.right
-                break
-        else:
-            return value
+            values.append(kind is Top)
+    if isinstance(values[0], Prop):
+        raise LcnError(f"assignment is missing proposition {values[0].name!r}")
+    return values[0]
 
 
 def support_in_order(f: Formula) -> list[str]:
     """Proposition names of `f` in left-to-right syntactic order, first
     occurrence only."""
-    seen: dict[str, None] = {}
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Prop):
-            seen.setdefault(node.name)
-        elif isinstance(node, Not):
-            stack.append(node.child)
-        elif isinstance(node, (And, Or)):
-            stack += (node.right, node.left)
-    return list(seen)
+    return list(dict.fromkeys([node.name for node in _postorder(f) if type(node) is Prop]))
 
 
 def support(f: Formula) -> frozenset[str]:
@@ -354,33 +373,21 @@ def _columns(props: tuple[str, ...]) -> tuple[dict[str, int], int]:
     return columns, (1 << size) - 1
 
 
-def _eval_mask(f: Formula, columns: Mapping[str, int], full: int) -> int:
-    """Evaluate `f` over whole truth-table columns in one iterative
-    post-order pass; propositions without a column are held false."""
+def _eval_mask(nodes: list[Formula], columns: Mapping[str, int], full: int) -> int:
+    """Evaluate the formula whose `_postorder` is `nodes` over whole
+    truth-table columns; propositions without a column are held false."""
     values: list[int] = []
-    stack: list[tuple[Formula, bool]] = [(f, False)]
-    while stack:
-        node, ready = stack.pop()
-        if isinstance(node, Prop):
+    for node in nodes:
+        kind = type(node)
+        if kind is Prop:
             values.append(columns.get(node.name, 0))
-        elif isinstance(node, Not):
-            if ready:
-                values.append(values.pop() ^ full)
-            else:
-                stack += ((node, True), (node.child, False))
-        elif isinstance(node, (And, Or)):
-            if ready:
-                right = values.pop()
-                left = values.pop()
-                values.append(left & right if isinstance(node, And) else left | right)
-            else:
-                stack += ((node, True), (node.right, False), (node.left, False))
-        elif isinstance(node, Top):
-            values.append(full)
-        elif isinstance(node, Bottom):
-            values.append(0)
+        elif kind is And or kind is Or:
+            right = values.pop()
+            values[-1] = values[-1] & right if kind is And else values[-1] | right
+        elif kind is Not:
+            values[-1] ^= full
         else:
-            raise TypeError(f"not a formula: {node!r}")
+            values.append(full if kind is Top else 0)
     return values[0]
 
 
@@ -389,24 +396,14 @@ def truth_mask(f: Formula, props: tuple[str, ...]) -> int:
     under the i-th assignment in lexicographic order, `props[0]` being the
     most significant position.  Propositions of `f` missing from `props`
     are held false."""
-    return _eval_mask(f, *_columns(props))
-
-
-def _check_table_size(what: str, k: int) -> None:
-    if k > MAX_TRUTH_TABLE_PROPS:
-        raise LcnError(f"{what} of {k} propositions exceeds "
-                       f"the {MAX_TRUTH_TABLE_PROPS}-proposition truth-table cap")
+    return _eval_mask(_postorder(f), *_columns(props))
 
 
 def semantically_equal(f: Formula, g: Formula) -> bool:
-    """True iff `f` and `g` agree on every assignment of their joint support.
-
-    Raises LcnError when the joint support exceeds the truth-table cap.
-    """
-    props = tuple(sorted(support(f) | support(g)))
-    _check_table_size("joint support", len(props))
-    columns, full = _columns(props)
-    return _eval_mask(f, columns, full) == _eval_mask(g, columns, full)
+    """True iff `f` and `g` agree on every assignment of their joint
+    support, that is, iff their canonical keys are equal.  Raises LcnError
+    when either support exceeds the truth-table cap."""
+    return canonical_key(f) == canonical_key(g)
 
 
 CanonicalKey = tuple[tuple[str, ...], int]
@@ -421,22 +418,23 @@ def canonical_key(f: Formula) -> CanonicalKey:
     exactly when their keys are equal.  The key is stored on `f` after the
     first call.
     """
-    try:
+    if "_canonical_key" in f.__dict__:
         return f._canonical_key  # type: ignore[attr-defined]
-    except AttributeError:
-        pass
-    props = tuple(sorted(support(f)))
-    _check_table_size("support", len(props))
+    nodes = _postorder(f)
+    props = tuple(sorted({node.name for node in nodes if type(node) is Prop}))
     k = len(props)
+    if k > MAX_TRUTH_TABLE_PROPS:
+        raise LcnError(f"support of {k} propositions exceeds "
+                       f"the {MAX_TRUTH_TABLE_PROPS}-proposition truth-table cap")
     columns, full = _columns(props)
-    mask = _eval_mask(f, columns, full)
+    mask = _eval_mask(nodes, columns, full)
     # Prop j is irrelevant when the table equals itself with prop j flipped:
     # comparing each assignment with prop j clear against its partner
     # 2^(k-1-j) positions up.
     deps = tuple(p for j, p in enumerate(props)
                  if ((mask >> (1 << (k - 1 - j))) ^ mask) & (full ^ columns[p]))
     if len(deps) < k:
-        mask = truth_mask(f, deps)
+        mask = _eval_mask(nodes, *_columns(deps))
     key = (deps, mask)
     object.__setattr__(f, "_canonical_key", key)
     return key

@@ -31,6 +31,17 @@ from .formula import CanonicalKey
 
 _KIND_RANK = {"prop": 0, "super": 1, "formula": 2}
 
+#: Most frames one simple-path search inside a cyclic step component
+#: (`MixedGraph._directed_path_reach`) pushes before it fails.  The search
+#: pushes 1.5-2 M frames/s, so it gives up after about a second.  Measured
+#: (2-core VM, Python 3.11.7): the perfbench indep-graphs ops of seeds 0-9
+#: need at most 1,703 frames per search (components of up to 13 nodes);
+#: `tests/helpers.py` `random_mixed_graph(Random(16), 16)` needs at most
+#: 357,291 per search, 3.1 M over its 16 searches for `lmc-c` (1.8 s);
+#: the first search on the denser `random_mixed_graph(Random(16), 16, 0.2,
+#: 0.1, 0.05)` passes 10 M frames; unbounded, it ran past 210 s.
+MAX_PATH_SEARCH_FRAMES = 2_000_000
+
 
 @dataclass(frozen=True, eq=False)
 class Node:
@@ -395,11 +406,13 @@ class MixedGraph:
         whether it has used a directed edge, and the steps from its last
         node still to try (bit v an undirected step to v, bit n + v a
         directed one).  The first frame holds one undirected step onto start.
+        Raises GraphError once it would push more than MAX_PATH_SEARCH_FRAMES.
         """
         n = len(self.nodes)
         children, neighbors = self._child_masks, self._neighbor_masks
         reached = 0
         stack = [[0, False, 1 << start]]
+        frames_left = MAX_PATH_SEARCH_FRAMES - 1
         while stack:
             frame = stack[-1]
             steps = frame[2]
@@ -417,6 +430,12 @@ class MixedGraph:
                 reached |= 1 << v
             path = frame[0] | 1 << v
             free = component & ~path
+            if not frames_left:
+                raise GraphError(
+                    f"the path search for the descendants of {self.nodes[start].name!r} in "
+                    f"its {component.bit_count()}-node cyclic step component exceeds the "
+                    f"{MAX_PATH_SEARCH_FRAMES:,}-frame budget")
+            frames_left -= 1
             stack.append([path, used, (children[v] & free) << n | neighbors[v] & free])
         return reached
 

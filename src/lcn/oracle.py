@@ -97,6 +97,16 @@ def _project(props: Sequence[str], names: Sequence[str]) -> list[int]:
     return index
 
 
+def _marginal(props: Sequence[str], names: Sequence[str], values: Sequence[float]) -> list[float]:
+    """Sums of `values`, one per row of a table over `props`, into cells
+    indexed over `names` as `_project` indexes them.  Each cell adds its
+    rows in ascending row order."""
+    cells = [0.0] * (1 << len(names))
+    for j, value in zip(_project(props, names), values):
+        cells[j] += value
+    return cells
+
+
 def _check_support(table: JointTable, f: Formula) -> None:
     unknown = support(f) - set(table.props)
     if unknown:
@@ -166,13 +176,8 @@ def check_independence(table: JointTable, statement: IndependenceStatement,
     for name in x + y + z:
         if name not in table.props:
             raise ModelError(f"statement mentions unknown proposition {name!r}")
-    marginals = []
-    for names in (x + y + z, x + z, y + z, z):
-        cells = [0.0] * (1 << len(names))
-        for j, p in zip(_project(table.props, names), table.probs):
-            cells[j] += p
-        marginals.append(cells)
-    pxyz, pxz, pyz, pz = marginals
+    pxyz, pxz, pyz, pz = (_marginal(table.props, names, table.probs)
+                          for names in (x + y + z, x + z, y + z, z))
 
     nx, ny = 1 << len(x), 1 << len(y)
     worst = 0.0
@@ -250,16 +255,11 @@ def sample_chain_factorized(g: MixedGraph, plan: FactorizationPlan,
                        for _ in range(1 << len(clique_names))]
             potential = [v * weights[j]
                          for v, j in zip(potential, _project(names, clique_names))]
-        # The rows that differ only on the component share one normalizer,
-        # kept at the row with the component's bits clear.
-        offsets = _project([n.name for n in factor.component], names)
-        mask = offsets[-1]
-        normalizer = [0.0] * size
-        for base in range(size):
-            if not base & mask:
-                for offset in offsets:
-                    normalizer[base] += potential[base + offset]
-        probs = [p * (v / normalizer[i & ~mask])
-                 for i, (p, v) in enumerate(zip(probs, potential))]
+        # The rows that differ only on the component share one normalizer:
+        # the potential's marginal over the other variables.
+        rest = [n.name for n in g.nodes if n not in factor.component]
+        normalizer = _marginal(names, rest, potential)
+        probs = [p * (v / normalizer[j])
+                 for p, v, j in zip(probs, potential, _project(names, rest))]
     total = sum(probs)
     return JointTable(tuple(names), tuple(q / total for q in probs))

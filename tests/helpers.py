@@ -24,6 +24,7 @@ from lcn.formula import (
     Prop,
     TOP,
     TOP_KEY,
+    Top,
     canonical_key,
     eval_formula,
     format_formula,
@@ -33,7 +34,7 @@ from lcn.formula import (
 from lcn.graph import MixedGraph, Node, prop_node, super_node
 from lcn.markov import IndependenceStatement
 from lcn.model import Constraint, Lcn, make_lcn, parse_lcn
-from lcn.errors import GraphError, ModelError
+from lcn.errors import GraphError, LcnError, ModelError
 from lcn.oracle import (
     DEFAULT_TOL,
     MAX_TABLE_PROPS,
@@ -900,6 +901,35 @@ def truth_mask_ref(f, props: tuple[str, ...]) -> int:
         if eval_formula(f, {**base, **a}):
             mask |= 1 << i
     return mask
+
+
+def eval_formula_ref(f, assignment) -> bool:
+    """Reference `eval_formula`: one recursive call per node, `&` and `|`
+    short-circuiting left to right, and a missing proposition raising
+    LcnError only when its value is read."""
+    if isinstance(f, Prop):
+        if f.name not in assignment:
+            raise LcnError(f"assignment is missing proposition {f.name!r}")
+        return bool(assignment[f.name])
+    if isinstance(f, Not):
+        return not eval_formula_ref(f.child, assignment)
+    if isinstance(f, And):
+        return eval_formula_ref(f.left, assignment) and eval_formula_ref(f.right, assignment)
+    if isinstance(f, Or):
+        return eval_formula_ref(f.left, assignment) or eval_formula_ref(f.right, assignment)
+    return isinstance(f, Top)
+
+
+def structure_ref(f) -> tuple:
+    """Reference structural identity: the tree as nested tuples of class
+    names, proposition names and operands, one recursive call per node."""
+    if isinstance(f, Prop):
+        return ("Prop", f.name)
+    if isinstance(f, Not):
+        return ("Not", structure_ref(f.child))
+    if isinstance(f, (And, Or)):
+        return (type(f).__name__, structure_ref(f.left), structure_ref(f.right))
+    return (type(f).__name__,)
 
 
 def format_formula_ref(f, level: int = 0) -> str:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -28,6 +29,13 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def run_lcn(*argv, timeout=None):
+    """`python -m lcn <argv>` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(lcn.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "lcn", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +193,28 @@ def test_indep_text_statements_sorted(capsys):
 def test_indep_on_a_long_chain_without_traceback(tmp_path):
     model = write(tmp_path, "chain1200.lcn",
                   "".join(f"D: P(N{i + 1} given N{i}) = 0.5\n" for i in range(1, 1201)))
-    env = dict(os.environ, PYTHONPATH=str(Path(lcn.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "lcn", "indep", model, "--condition", "lmc-d"],
-                          capture_output=True, text=True, env=env)
+    proc = run_lcn("indep", model, "--condition", "lmc-d")
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 1199
     assert "N1 _||_ N3 | N2" in lines
+
+
+def test_indep_on_a_dense_cyclic_structure_stops_at_the_path_budget(tmp_path):
+    # One 16-node step component full of directed cycles: the exact search
+    # over its simple paths ran past 210 s before it had a budget.
+    g = helpers.random_mixed_graph(random.Random(16), 16, 0.2, 0.1, 0.05)
+    text = "".join(f"D: P({b.name} given {a.name}) = 0.5\n" for a, b in sorted(g.directed))
+    text += "".join(f"U: P({a.name} & {b.name}) = 0.5\n" for a, b in sorted(g.undirected))
+    model = write(tmp_path, "dense.lcn", text)
+    for condition in ("lmc-c", "lmc-d"):
+        proc = run_lcn("indep", model, "--condition", condition, timeout=15)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: the path search for the descendants of 'X0' in its 16-node cyclic "
+            "step component exceeds the 2,000,000-frame budget"]
 
 
 def test_indep_json_reports_default_graph(capsys):
@@ -324,6 +346,21 @@ def test_factorize_prune_error_exit(tmp_path, capsys):
     assert main(["factorize", model, "--prune", "--format", "json"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert len(data["prune"]["errors"]) == 1
+
+
+def test_factorize_prune_refuses_a_clique_over_the_cap(tmp_path):
+    # Three overlapping constraints join A0..A23 into one clique: listing
+    # its 2^24 configurations did not finish in 100 s.
+    groups = (range(20), range(4, 24), [*range(4), *range(20, 24)])
+    model = write(tmp_path, "clique24.lcn", "".join(
+        "U: P(" + " & ".join(f"A{i}" for i in group) + ") = 0.5\n" for group in groups))
+    for extra in ([], ["--format", "json"]):
+        proc = run_lcn("factorize", model, "--prune", *extra, timeout=15)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: pruning a clique of 24 propositions exceeds "
+                                      "the 16-proposition clique cap: {A0,A1,A10,")
+    assert main(["factorize", model]) == 0  # the plan itself needs no cap
 
 
 @pytest.mark.parametrize("extra", [[], ["--prune"], ["--format", "json"]])

@@ -8,6 +8,7 @@ import helpers
 from lcn.build import dependency_graph, mixed_structure, structure
 from lcn.errors import GraphError
 from lcn.factorize import (
+    MAX_PRUNE_CLIQUE_PROPS,
     CliqueConfigurations,
     FactorizationPlan,
     component_dag,
@@ -298,6 +299,14 @@ def test_prune_tautological_implication_is_noop():
     assert report.errors == ()
     assert all(c.removed == 0 for c in report.cliques)
     assert all(len(c.configurations) == 2 ** len(c.clique) for c in report.cliques)
+
+
+def test_prune_refuses_a_clique_over_the_cap():
+    k = MAX_PRUNE_CLIQUE_PROPS + 1
+    lcn = parse_lcn("U: P(" + " & ".join(f"A{i}" for i in range(k)) + ") = 0.5\n")
+    with pytest.raises(GraphError, match=f"clique of {k} propositions exceeds the "
+                                         f"{k - 1}-proposition clique cap"):
+        prune_hard_constraints(lcn, factorization_plan(structure(lcn)))
 
 
 def test_prune_reports_unfittable_constraint():

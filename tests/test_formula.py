@@ -1,9 +1,19 @@
+from copy import deepcopy
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lcn.formula
-from helpers import canonical_key_ref, format_formula_ref, st_formulas, truth_mask_ref
+from helpers import (
+    canonical_key_ref,
+    eval_formula_ref,
+    format_formula_ref,
+    st_formulas,
+    structure_ref,
+    truth_mask_ref,
+)
 from lcn.errors import LcnError, ParseError
 from lcn.formula import (
     And,
@@ -143,6 +153,22 @@ def test_eval_formula_on_deep_formulas():
         eval_formula(parse_formula("!" * 3000 + "A"), {})
 
 
+@settings(max_examples=200, deadline=None)
+@given(st_formulas(["A", "B", "C"], max_leaves=10),
+       st.dictionaries(st.sampled_from(["A", "B", "C"]), st.booleans() | st.integers(0, 1)))
+def test_eval_formula_matches_short_circuit_reference(f, assignment):
+    # The assignment may leave propositions out: the value or the error
+    # message must be the one of left-to-right short-circuit evaluation.
+    def outcome(evaluate):
+        try:
+            return evaluate(f, assignment)
+        except LcnError as exc:
+            return str(exc)
+
+    got, want = outcome(eval_formula), outcome(eval_formula_ref)
+    assert got == want and type(got) is type(want)
+
+
 def test_support_is_syntactic():
     assert support(Or(And(A, B), And(A, Not(B)))) == {"A", "B"}
     assert support(TOP) == frozenset()
@@ -156,6 +182,14 @@ def test_semantically_equal():
     assert semantically_equal(And(A, Not(A)), BOTTOM)
     assert semantically_equal(Not(And(A, B)), Or(Not(A), Not(B)))
     assert not semantically_equal(A, B)
+
+
+def test_semantically_equal_past_the_cap_on_the_joint_support():
+    # 30 propositions together, 15 in each support: each key is in reach.
+    f = reduce(Or, (Prop(f"P{i}") for i in range(15)))
+    g = reduce(Or, (Prop(f"Q{i}") for i in range(15)))
+    assert not semantically_equal(f, g)
+    assert semantically_equal(f, reduce(Or, (Prop(f"P{i}") for i in reversed(range(15)))))
 
 
 def test_canonical_key_trivial():
@@ -193,6 +227,8 @@ def test_truth_table_cap():
         wide = Or(wide, Prop(f"P{i}"))
     with pytest.raises(LcnError, match="cap"):
         canonical_key(wide)
+    with pytest.raises(LcnError, match="support of 21 propositions exceeds"):
+        semantically_equal(A, wide)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +256,42 @@ def test_deep_negations_and_chains_parse_and_print_in_loops():
     # far past the default recursion limit of 1000
     for text in ("!" * 3000 + "A", " & ".join(["A"] * 3000), " | ".join(["B"] * 3000)):
         assert format_formula(parse_formula(text)) == text
+
+
+def test_hash_and_eq_on_deep_formulas():
+    # far past the default recursion limit of 1000
+    text = "!" * 3000 + "A"
+    f, g = parse_formula(text), parse_formula(text)
+    assert f is not g
+    assert f == g and hash(f) == hash(g)
+    assert g in {f}
+    assert f != parse_formula("!" * 3001 + "A")
+    chain = " & ".join(["A"] * 3000)
+    assert parse_formula(chain) == parse_formula(chain)
+
+
+small_formulas = st_formulas(["A", "B"], max_leaves=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_formulas, small_formulas)
+def test_eq_and_hash_match_structural_reference(f, g):
+    copy = deepcopy(f)  # the same tree, built from new nodes
+    assert f == copy and hash(f) == hash(copy)
+    assert (f == g) == (structure_ref(f) == structure_ref(g))
+    if f == g:
+        assert hash(f) == hash(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([A, B, TOP, Not(A)]), min_size=1, max_size=6),
+       st.sampled_from([And, Or]))
+def test_eq_tells_left_from_right_nesting(leaves, op):
+    left = reduce(op, leaves)
+    right = reduce(lambda acc, leaf: op(leaf, acc), reversed(leaves))
+    assert (left == right) == (structure_ref(left) == structure_ref(right))
+    assert (left == right) == (len(leaves) <= 2)
+    assert left != Not(left) and left != op(left, left)
 
 
 def test_parenthesis_nesting_limit():

@@ -289,6 +289,19 @@ def test_descendants_match_simple_path_reference(seed, n, family):
             assert weak_descendants(g, node) == de - sde
 
 
+def test_path_search_stops_at_its_frame_budget(monkeypatch):
+    # From A1 on A1 -> A2 -> A3 -> A1 the search pushes four frames: one
+    # onto A1, then one per step along the cycle.
+    g = helpers.cycle_graph(3)
+    monkeypatch.setattr(lcn.graph, "MAX_PATH_SEARCH_FRAMES", 4)
+    assert names(g.descendants("A1")) == {"A2", "A3"}
+    monkeypatch.setattr(lcn.graph, "MAX_PATH_SEARCH_FRAMES", 3)
+    with pytest.raises(GraphError, match="descendants of 'A1' in its 3-node cyclic step "
+                                         "component exceeds the 3-frame budget"):
+        g.descendants("A1")
+    assert names(g.strict_descendants("A1")) == {"A2", "A3"}  # never searches
+
+
 def test_long_directed_path_answers_at_the_default_recursion_limit():
     # A 1,500-node directed path N0 -> ... -> N1499 with one undirected edge
     # M ~ N0 at its head: from M every directed path leaves through N0,

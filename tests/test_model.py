@@ -134,6 +134,14 @@ def test_parse_deep_conjunction_under_the_default_recursion_limit():
     assert canonical_key(lcn.constraints[0].phi) == canonical_key(A)
 
 
+def test_models_with_deep_formulas_compare_and_hash():
+    # 3,000 negations: far past the default recursion limit of 1000
+    text = "U: P(" + "!" * 3000 + "A) = 0.5\n"
+    lcn, again = parse_lcn(text), parse_lcn(text)
+    assert lcn == again and hash(lcn) == hash(again)
+    assert lcn != parse_lcn(text.replace("!A", "!!A"))
+
+
 # ---------------------------------------------------------------------------
 # Formatting
 
