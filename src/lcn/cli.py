@@ -73,6 +73,7 @@ def _load_model(path: str) -> Lcn:
 
 
 def _build_graph(lcn: Lcn, kind: str, syntactic: bool = False) -> MixedGraph:
+    """The graph of `kind`, one of GRAPH_KINDS (argparse checks it)."""
     from . import build
 
     if kind == "dependency":
@@ -80,9 +81,7 @@ def _build_graph(lcn: Lcn, kind: str, syntactic: bool = False) -> MixedGraph:
             lcn, merge="syntactic" if syntactic else "semantic")
     if kind == "structure":
         return build.structure(lcn)
-    if kind == "mixed":
-        return build.mixed_structure(lcn)
-    raise LcnError(f"unknown graph kind {kind!r}")
+    return build.mixed_structure(lcn)
 
 
 def _emit_json(data: object) -> None:

@@ -17,16 +17,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import Mapping
 
 from .errors import GraphError
-from .formula import (
-    BOTTOM_KEY,
-    TOP_KEY,
-    Not,
-    Or,
-    canonical_key,
-    truth_mask,
-)
+from .formula import TOP_KEY, Not, Or, canonical_key, truth_mask
 from .graph import MixedGraph, Node, _bits, _collapse_bidirected, super_node
 from .model import Lcn, format_constraint
 
@@ -70,7 +64,6 @@ class ComponentFactor:
 
     component: tuple[Node, ...]
     boundary: tuple[Node, ...]
-    graph: MixedGraph
     cliques: tuple[tuple[Node, ...], ...]
     expression: str
 
@@ -86,10 +79,10 @@ class FactorizationPlan:
 
 
 def factorization_plan(g: MixedGraph) -> FactorizationPlan:
-    """Symbolic chain-graph factorization: per component, the undirected
-    graph on component ∪ boundary (in-graph edges undirected, boundary
-    completed) and its maximal cliques.  Graphs with formula nodes are
-    refused: a factor ranges over variables."""
+    """Symbolic chain-graph factorization: per component, the maximal
+    cliques of the undirected graph on component ∪ boundary (edges of
+    either kind inside it, undirected, and the boundary completed).  Graphs
+    with formula nodes are refused: a factor ranges over variables."""
     if any(n.kind == "formula" for n in g.nodes):
         raise GraphError("factorization is defined over variable nodes only")
     factors = []
@@ -99,26 +92,25 @@ def factorization_plan(g: MixedGraph) -> FactorizationPlan:
         adjacent = {i: (g._boundary_masks[i] | g._child_masks[i]
                         | (boundary if boundary >> i & 1 else 0)) & ~(1 << i)
                     for i in _bits(keep)}
-        component_graph = g._subgraph(keep, dict.fromkeys(adjacent, 0), adjacent)
         # Node tuples compare as their position lists do.
-        cliques = tuple(map(component_graph._ordered, sorted(
-            _maximal_cliques(component_graph), key=lambda clique: list(_bits(clique)))))
+        cliques = tuple(map(g._ordered, sorted(
+            _maximal_cliques(adjacent, keep), key=lambda clique: list(_bits(clique)))))
 
         component, given = g._ordered(members), g._ordered(boundary)
         names = ",".join(n.name for n in component)
         if given:
             names += " | " + ",".join(n.name for n in given)
-        factors.append(ComponentFactor(component, given, component_graph, cliques, f"P({names})"))
+        factors.append(ComponentFactor(component, given, cliques, f"P({names})"))
     return FactorizationPlan(tuple(factors))
 
 
-def _maximal_cliques(g: MixedGraph) -> list[int]:
-    """Maximal cliques of an undirected graph as node masks: Bron–Kerbosch
-    with Tomita pivoting, on an explicit stack of (clique, candidates,
-    excluded) masks."""
-    adjacent = g._neighbor_masks
+def _maximal_cliques(adjacent: Mapping[int, int], nodes: int) -> list[int]:
+    """Maximal cliques, as masks, of the undirected graph on the mask
+    `nodes` whose node i has the neighbours `adjacent[i] & nodes`:
+    Bron–Kerbosch with Tomita pivoting, on an explicit stack of (clique,
+    candidates, excluded) masks."""
     cliques: list[int] = []
-    stack = [(0, (1 << len(g.nodes)) - 1, 0)]
+    stack = [(0, nodes, 0)]
     while stack:
         clique, candidates, excluded = stack.pop()
         if not candidates:
@@ -163,12 +155,12 @@ def condense_cycles(g: MixedGraph) -> tuple[MixedGraph, dict[Node, Node]]:
 # ---------------------------------------------------------------------------
 # Hard-constraint pruning
 
-#: Largest plan clique, in propositions, that pruning lists the 2^k
-#: configurations of.  `lcn factorize --prune` on one k-clique model
-#: (2-core VM, Python 3.11.7), text / JSON output: k = 14 0.15 / 0.43 s
-#: (3.8 MB of JSON), k = 16 0.58 / 1.44 s (17 MB, 134 MB peak RSS), k = 18
-#: 5.0 / 8.2 s (77 MB, 553 MB peak RSS); a 24-proposition clique did not
-#: finish in 100 s.
+#: Largest plan clique, in propositions, that pruning accepts.  Text output
+#: reads only the survivor masks, but JSON lists all 2^k configurations.
+#: `lcn factorize --prune` on one k-clique model (2-core VM, Python 3.11.7),
+#: text / JSON output: k = 14 0.12 / 0.38 s (2.9 MB of JSON), k = 16
+#: 0.12 / 1.39 s (13 MB, 97 MB peak RSS), k = 18 0.08 / 6.7 s (58 MB,
+#: 376 MB peak RSS); without `--prune` 0.12, 0.12 and 0.08 s.
 MAX_PRUNE_CLIQUE_PROPS = 16
 
 
@@ -176,14 +168,24 @@ MAX_PRUNE_CLIQUE_PROPS = 16
 class CliqueConfigurations:
     """Surviving assignments of one clique after pruning.
 
-    `configurations[i][j]` is the value of `clique[j]`; initially all
-    2^len(clique) assignments are present.
+    `alive` is the clique's truth mask of survivors: bit i is set iff the
+    assignment i over `clique` survives (all 2^len(clique) bits before
+    pruning).  `configurations[i][j]` is the value of `clique[j]` in the
+    i-th survivor, in index order.
     """
 
     component_index: int
     clique: tuple[str, ...]
-    configurations: tuple[tuple[int, ...], ...]
-    removed: int
+    alive: int
+
+    @property
+    def configurations(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(idx >> j & 1 for j in range(len(self.clique)))
+                     for idx in _bits(self.alive))
+
+    @property
+    def removed(self) -> int:
+        return (1 << len(self.clique)) - self.alive.bit_count()
 
 
 @dataclass(frozen=True)
@@ -209,8 +211,6 @@ def prune_hard_constraints(lcn: Lcn, plan: FactorizationPlan) -> PruneReport:
                     f"pruning a clique of {len(clique)} propositions exceeds the "
                     f"{MAX_PRUNE_CLIQUE_PROPS}-proposition clique cap: "
                     "{" + ",".join(n.name for n in clique) + "}")
-    # Each clique keeps its surviving configurations as one mask: bit idx is
-    # the configuration whose bit j is the value of the clique's j-th name.
     spaces = [[ci, tuple(n.name for n in clique), (1 << (1 << len(clique))) - 1]
               for ci, factor in enumerate(plan.factors) for clique in factor.cliques]
     errors: list[str] = []
@@ -221,9 +221,6 @@ def prune_hard_constraints(lcn: Lcn, plan: FactorizationPlan) -> PruneReport:
         key = canonical_key(effective)
         if key == TOP_KEY:
             continue
-        if key == BOTTOM_KEY:
-            errors.append(f"hard constraint is unsatisfiable: {format_constraint(c)}")
-            continue
         home = next((space for space in spaces if set(key[0]) <= set(space[1])), None)
         if home is None:
             errors.append(
@@ -231,17 +228,7 @@ def prune_hard_constraints(lcn: Lcn, plan: FactorizationPlan) -> PruneReport:
                 f"clique: {format_constraint(c)}"
             )
             continue
-        # LSB-first indices, so the MSB-first kernel gets the names reversed;
-        # propositions of the formula outside the clique are irrelevant.
-        home[2] &= truth_mask(effective, home[1][::-1])
+        # Propositions of the formula outside the clique are irrelevant.
+        home[2] &= truth_mask(effective, home[1])
 
-    return PruneReport(
-        cliques=tuple(
-            CliqueConfigurations(
-                ci, names,
-                tuple(tuple(idx >> j & 1 for j in range(len(names))) for idx in _bits(alive)),
-                (1 << len(names)) - alive.bit_count())
-            for ci, names, alive in spaces
-        ),
-        errors=tuple(errors),
-    )
+    return PruneReport(tuple(CliqueConfigurations(*space) for space in spaces), tuple(errors))

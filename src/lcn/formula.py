@@ -8,12 +8,12 @@ propositions the formula actually depends on plus its truth table) so that
 equivalent formulas can share identity wherever that matters.
 
 Truth tables are Python ints used as bitsets, all built by one kernel,
-`truth_mask`.  There is a single bit order: bit i is the i-th assignment
-in lexicographic order of value tuples, so the first proposition is the
-most significant position (MSB-first); canonical keys use it as is.  A
-table that wants the first proposition as the least significant bit
-(LSB-first, as `lcn.oracle` lays out joint tables) calls the kernel with
-the propositions reversed.
+`truth_mask`, in the one assignment layout of the package: over
+propositions `props`, index i stands for the assignment that gives
+`props[j]` bit j of i, as the rows of `lcn.oracle` joint tables and the
+configurations of `lcn.factorize` pruning are numbered.  `canonical_key`
+reads the kernel over its sorted propositions reversed, so its masks list
+assignments in lexicographic order of value tuples.
 
 Grammar::
 
@@ -353,17 +353,16 @@ def support(f: Formula) -> frozenset[str]:
 
 
 def _columns(props: tuple[str, ...]) -> tuple[dict[str, int], int]:
-    """Truth-table columns of `props` over 2^k assignments, MSB-first, plus
-    the all-ones mask.
+    """Truth-table columns of `props` over their 2^k assignments, plus the
+    all-ones mask.
 
-    The column of `props[j]` has bit i set iff bit k-1-j of i is set: runs
-    of 2^(k-1-j) zeros and ones, built by doubling one period.
+    The column of `props[j]` has bit i set iff bit j of i is set: runs of
+    2^j zeros and ones, built by doubling one period.
     """
-    k = len(props)
-    size = 1 << k
+    size = 1 << len(props)
     columns: dict[str, int] = {}
     for j, p in enumerate(props):
-        half = 1 << (k - 1 - j)
+        half = 1 << j
         column = ((1 << half) - 1) << half
         width = half << 1
         while width < size:
@@ -393,9 +392,8 @@ def _eval_mask(nodes: list[Formula], columns: Mapping[str, int], full: int) -> i
 
 def truth_mask(f: Formula, props: tuple[str, ...]) -> int:
     """Bitmask of `f`'s truth table over `props`: bit i is set iff `f` holds
-    under the i-th assignment in lexicographic order, `props[0]` being the
-    most significant position.  Propositions of `f` missing from `props`
-    are held false."""
+    when each `props[j]` takes bit j of i.  Propositions of `f` missing
+    from `props` are held false."""
     return _eval_mask(_postorder(f), *_columns(props))
 
 
@@ -414,14 +412,15 @@ def canonical_key(f: Formula) -> CanonicalKey:
 
     `deps` is the sorted tuple of propositions `f` semantically depends on
     (syntactic support minus propositions whose value never matters) and
-    `mask` is `truth_mask(f, deps)`.  Two formulas are logically equivalent
-    exactly when their keys are equal.  The key is stored on `f` after the
-    first call.
+    `mask` is `truth_mask(f, deps[::-1])`, so it lists the assignments in
+    lexicographic order of value tuples.  Two formulas are logically
+    equivalent exactly when their keys are equal.  The key is stored on `f`
+    after the first call.
     """
     if "_canonical_key" in f.__dict__:
         return f._canonical_key  # type: ignore[attr-defined]
     nodes = _postorder(f)
-    props = tuple(sorted({node.name for node in nodes if type(node) is Prop}))
+    props = tuple(sorted({node.name for node in nodes if type(node) is Prop}, reverse=True))
     k = len(props)
     if k > MAX_TRUTH_TABLE_PROPS:
         raise LcnError(f"support of {k} propositions exceeds "
@@ -429,13 +428,13 @@ def canonical_key(f: Formula) -> CanonicalKey:
     columns, full = _columns(props)
     mask = _eval_mask(nodes, columns, full)
     # Prop j is irrelevant when the table equals itself with prop j flipped:
-    # comparing each assignment with prop j clear against its partner
-    # 2^(k-1-j) positions up.
+    # comparing each assignment with prop j clear against its partner 2^j
+    # positions up.
     deps = tuple(p for j, p in enumerate(props)
-                 if ((mask >> (1 << (k - 1 - j))) ^ mask) & (full ^ columns[p]))
+                 if ((mask >> (1 << j)) ^ mask) & (full ^ columns[p]))
     if len(deps) < k:
         mask = _eval_mask(nodes, *_columns(deps))
-    key = (deps, mask)
+    key = (deps[::-1], mask)
     object.__setattr__(f, "_canonical_key", key)
     return key
 

@@ -5,11 +5,11 @@ Everything here is deliberately brute-force.  Tables enumerate all 2^n
 assignments (n ≤ 12), so every probability is an exact finite sum and the
 results can arbitrate the graph-level algorithms.
 
-Table layout: assignment index i sets proposition `props[j]` to bit j of
-i — the first proposition is the least significant bit.  The JSON form is
-``{"props": [...], "probs": [...]}`` with the same index order.  Marginals
-and clique tables use the same order over their own propositions, and
-`_project` is the one place that maps rows to such sub-indices.
+Table rows follow the assignment layout of `lcn.formula` over the table's
+`props`.  The JSON form is ``{"props": [...], "probs": [...]}`` with the
+same row order.  Marginals and clique tables use the same layout over
+their own propositions, and `_project` is the one place that maps rows to
+such sub-indices.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import GraphError, ModelError
 from .formula import And, Formula, support, truth_mask
-from .model import Constraint, Lcn, format_constraint
+from .model import Constraint, Lcn
 
 if TYPE_CHECKING:
     from .factorize import FactorizationPlan
@@ -116,10 +116,9 @@ def _check_support(table: JointTable, f: Formula) -> None:
 
 def prob(table: JointTable, f: Formula) -> float:
     """Total mass of the assignments satisfying `f`, summed in ascending
-    index order.  The kernel is MSB-first, so it gets the propositions
-    reversed to match the table's LSB-first layout."""
+    index order."""
     _check_support(table, f)
-    rows = bin(truth_mask(f, table.props[::-1]))[:1:-1]  # bit i at position i
+    rows = bin(truth_mask(f, table.props))[:1:-1]  # bit i at position i
     return sum(compress(table.probs, map("1".__eq__, rows)))
 
 
@@ -195,11 +194,9 @@ def check_independence(table: JointTable, statement: IndependenceStatement,
 @dataclass(frozen=True)
 class CheckReport:
     constraints: tuple[ConstraintCheck, ...]
-    statements: tuple[StatementCheck, ...] = ()
 
     def ok(self, strict: bool = False) -> bool:
-        return (all(c.ok(strict) for c in self.constraints)
-                and all(s.holds for s in self.statements))
+        return all(c.ok(strict) for c in self.constraints)
 
 
 def check_model(table: JointTable, lcn: Lcn,
@@ -234,8 +231,9 @@ def sample_chain_factorized(g: MixedGraph, plan: FactorizationPlan,
     component order.
 
     Draw order is fixed — factors in plan order, cliques in their recorded
-    order, and per clique one weight per assignment with the clique's first
-    (sorted) node as the least significant bit — so a seed pins the table.
+    order, and per clique one weight per assignment in the layout of
+    `lcn.formula` over the clique's (sorted) nodes — so a seed pins the
+    table.
     """
     if any(n.kind == "formula" for n in g.nodes):
         raise GraphError("factorized sampling is defined over variable nodes only")

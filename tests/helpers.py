@@ -444,6 +444,16 @@ def naive_directed_cycle(g: MixedGraph) -> bool:
     return any(search(s, s, frozenset([s]), False) for s in g.nodes)
 
 
+def factor_graph_ref(g: MixedGraph, component) -> MixedGraph:
+    """Reference factor graph of one chain component of `g`: on the
+    component plus its boundary, every edge of `g` of either kind inside
+    that set, made undirected, and the boundary completed."""
+    boundary = g.boundary_of_set(component)
+    keep = set(component) | boundary
+    edges = [(a, b) for a, b in g.directed | g.undirected if a in keep and b in keep]
+    return MixedGraph(keep, (), edges + list(combinations(boundary, 2)))
+
+
 def brute_force_cliques(g: MixedGraph) -> set[frozenset[str]]:
     """Maximal cliques of an undirected graph by subset enumeration."""
     assert not g.directed
@@ -885,11 +895,10 @@ def sample_chain_factorized_ref(g: MixedGraph, plan: FactorizationPlan,
 # Per-assignment truth tables: references for the bit-parallel kernel
 
 def _assignments(props: tuple[str, ...]):
-    """All assignments over `props` in lexicographic order of value tuples
-    (the first proposition is the most significant position)."""
-    k = len(props)
-    for i in range(1 << k):
-        yield {p: (i >> (k - 1 - j)) & 1 for j, p in enumerate(props)}
+    """All assignments over `props` by index: assignment i gives `props[j]`
+    bit j of i."""
+    for i in range(1 << len(props)):
+        yield {p: (i >> j) & 1 for j, p in enumerate(props)}
 
 
 def truth_mask_ref(f, props: tuple[str, ...]) -> int:
@@ -948,14 +957,15 @@ def format_formula_ref(f, level: int = 0) -> str:
 
 def canonical_key_ref(f):
     """Reference `canonical_key`: a proposition is relevant when flipping
-    it changes the value under some assignment, checked row by row."""
+    it changes the value under some assignment, checked row by row.  The
+    key's mask lists the assignments of the sorted dependencies in
+    lexicographic order of value tuples: the kernel over them reversed."""
     props = tuple(sorted(support(f)))
-    k = len(props)
     table = [eval_formula(f, a) for a in _assignments(props)]
     deps = []
-    for j in range(k):
-        flip = 1 << (k - 1 - j)  # distance between rows differing in prop j
-        if any(table[i] != table[i | flip] for i in range(1 << k) if not i & flip):
+    for j in range(len(props)):
+        flip = 1 << j  # distance between rows differing in prop j
+        if any(table[i] != table[i | flip] for i in range(len(table)) if not i & flip):
             deps.append(props[j])
     deps = tuple(deps)
-    return (deps, truth_mask_ref(f, deps))
+    return (deps, truth_mask_ref(f, deps[::-1]))

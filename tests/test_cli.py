@@ -333,6 +333,50 @@ def test_factorize_prune_text(tmp_path, capsys):
     assert "pruned 1 configuration(s) from {A,B} of factor 0" in out
 
 
+PRUNE_MODEL = (
+    "U: 0.2 <= P(a | c) <= 0.8\n"
+    "D: 1 <= P(b given a & c) <= 1\n"
+    "U: 1 <= P(b | !d) <= 1\n"
+    "D: 0.1 <= P(e given b) <= 0.9\n"
+)
+
+
+def test_factorize_prune_output_golden(tmp_path, capsys):
+    model = write(tmp_path, "hard.lcn", PRUNE_MODEL)
+    assert main(["factorize", model, "--prune"]) == 0
+    assert capsys.readouterr().out == (
+        "P(a,c) * P(b,d | a,c) * P(e | b)\n"
+        "  factor 0: P(a,c)  cliques: {a,c}\n"
+        "  factor 1: P(b,d | a,c)  cliques: {a,b,c} {b,d}\n"
+        "  factor 2: P(e | b)  cliques: {b,e}\n"
+        "  pruned 1 configuration(s) from {a,b,c} of factor 1\n"
+        "  pruned 1 configuration(s) from {b,d} of factor 1\n"
+    )
+    assert main(["factorize", model, "--prune", "--format", "json"]) == 0
+    factors = [(["a", "c"], [], [["a", "c"]], "P(a,c)"),
+               (["b", "d"], ["a", "c"], [["a", "b", "c"], ["b", "d"]], "P(b,d | a,c)"),
+               (["e"], ["b"], [["b", "e"]], "P(e | b)")]
+    every2 = [[0, 0], [1, 0], [0, 1], [1, 1]]
+    # (a & c) -> b drops a=1,b=0,c=1; b | !d drops b=0,d=1.
+    survivors = [(0, ["a", "c"], every2, 0),
+                 (1, ["a", "b", "c"], [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0],
+                                       [0, 0, 1], [0, 1, 1], [1, 1, 1]], 1),
+                 (1, ["b", "d"], [[0, 0], [1, 0], [1, 1]], 1),
+                 (2, ["b", "e"], every2, 0)]
+    expected = {
+        "positivity_assumed": True,
+        "expression": "P(a,c) * P(b,d | a,c) * P(e | b)",
+        "factors": [{"component": c, "boundary": b, "cliques": k, "expression": e}
+                    for c, b, k, e in factors],
+        "prune": {
+            "cliques": [{"factor": f, "clique": k, "configurations": s, "removed": r}
+                        for f, k, s, r in survivors],
+            "errors": [],
+        },
+    }
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
 def test_factorize_prune_error_exit(tmp_path, capsys):
     model = write(
         tmp_path, "unfit.lcn",

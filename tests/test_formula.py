@@ -322,10 +322,12 @@ def test_key_depends_only_on_relevant_props(f):
 # Bit-parallel truth-table kernel against the per-assignment references
 
 def test_truth_mask_golden_bit_order():
-    # MSB-first: rows 00, 01, 10, 11 over (A, B).
-    assert truth_mask(A, ("A", "B")) == 0b1100
-    assert truth_mask(B, ("A", "B")) == 0b1010
-    assert truth_mask(A, ("B", "A")) == 0b1010
+    # Bit i gives props[j] bit j of i: over (A, B), bits 0-3 read A = 0,1,0,1
+    # and B = 0,0,1,1.
+    assert truth_mask(A, ("A", "B")) == 0b1010
+    assert truth_mask(B, ("A", "B")) == 0b1100
+    assert truth_mask(A, ("B", "A")) == 0b1100
+    assert truth_mask(C, ("A", "B", "C")) == 0b11110000
     assert truth_mask(Not(A), ("A",)) == 0b01
     assert truth_mask(TOP, ()) == 1
     assert truth_mask(BOTTOM, ("A", "B")) == 0

@@ -18,7 +18,6 @@ from lcn.oracle import (
     DEFAULT_TOL,
     MAX_TABLE_PROPS,
     WEIGHT_FLOOR,
-    CheckReport,
     JointTable,
     check_constraint,
     check_independence,
@@ -196,13 +195,6 @@ def test_check_model_report(smokers):
     assert not report.ok()
     with pytest.raises(ModelError, match="lacks model propositions"):
         check_model(TABLE, smokers)
-
-
-def test_check_report_includes_statements():
-    good = check_independence(PRODUCT, stmt("A", "B"))
-    bad = check_independence(TABLE, stmt("A", "B"))
-    assert CheckReport((), (good,)).ok()
-    assert not CheckReport((), (good, bad)).ok()
 
 
 # ---------------------------------------------------------------------------
