@@ -196,6 +196,29 @@ def random_chain_graph(rng: random.Random, n: int,
     return MixedGraph.from_props(names, directed, undirected)
 
 
+def sparse_chain_graph(rng: random.Random, n: int) -> MixedGraph:
+    """Random chain graph with n - 1 edges (fewer if the blocks allow fewer):
+    blocks of 1-3 nodes, each edge drawn without replacement from the
+    undirected pairs inside a block and the directed pairs from an earlier
+    block to a later one.  Sparse graphs separate many sets, so their GMC
+    outputs are the largest."""
+    names = [f"X{i}" for i in range(n)]
+    rng.shuffle(names)
+    blocks: list[list[str]] = []
+    i = 0
+    while i < n:
+        size = rng.randint(1, 3)
+        blocks.append(names[i:i + size])
+        i += size
+    candidates = []
+    for bi, block in enumerate(blocks):
+        candidates += [("u", a, b) for a, b in combinations(block, 2)]
+        candidates += [("d", a, b) for later in blocks[bi + 1:] for a in block for b in later]
+    chosen = rng.sample(candidates, min(n - 1, len(candidates)))
+    return MixedGraph.from_props(names, [(a, b) for kind, a, b in chosen if kind == "d"],
+                                 [(a, b) for kind, a, b in chosen if kind == "u"])
+
+
 def random_overlapping_graph(rng: random.Random, n: int, p: float = 0.3) -> MixedGraph:
     """Dense random mixed graph whose edges are drawn independently, so one
     pair may hold a directed edge either way and an undirected edge at once."""
@@ -618,13 +641,24 @@ def gma_ref(g: MixedGraph, n1, n2, n3) -> MixedGraph:
     """The moral graph of the smallest ancestral set, built straight-line:
     a set-based closure under boundaries, the induced subgraph, then the
     moralization rule applied to that subgraph's own chain components."""
-    closed = set(g.resolve_set(n1) | g.resolve_set(n2) | g.resolve_set(n3))
+    return moralize_ref(g, ancestral_ref(g, g.resolve_set(n1) | g.resolve_set(n2)
+                                         | g.resolve_set(n3)))
+
+
+def ancestral_ref(g: MixedGraph, nodes) -> frozenset:
+    """The closure of `nodes` under boundaries, by a set-based search."""
+    closed = set(g.resolve_set(nodes))
     frontier = list(closed)
     while frontier:
         for b in g.boundary(frontier.pop()):
             if b not in closed:
                 closed.add(b)
                 frontier.append(b)
+    return frozenset(closed)
+
+
+def moralize_ref(g: MixedGraph, closed) -> MixedGraph:
+    """The moral graph of the subgraph induced by `closed`."""
     sub = g.induced_subgraph(closed)
     edges = set(sub.undirected) | set(sub.directed)
     for component in sub.chain_components():
@@ -744,11 +778,11 @@ def separation_bruteforce(g: MixedGraph,
     return not any(connects(s, frozenset([s])) for s in sorted(s1))
 
 
-def enumerate_gmc_ref(g: MixedGraph, max_x: int = 2, max_y: int | None = None,
-                      max_z: int = 3) -> frozenset[IndependenceStatement]:
-    """The global condition enumerated with one freshly built moral graph
-    and one separation search per (X, Y, Z) triple."""
-    variables = tuple(n for n in g.nodes if n.kind != "formula")
+def bounded_statements(g: MixedGraph, max_x: int = 2, max_y: int | None = None,
+                       max_z: int = 3) -> frozenset[IndependenceStatement]:
+    """Every statement X ⊥ Y | Z over the variable nodes with |X| ≤ max_x,
+    |Y| ≤ max_y and |Z| ≤ max_z, implied or not, in canonical form."""
+    variables = tuple(n.name for n in g.nodes if n.kind != "formula")
     if max_y is None:
         max_y = len(variables)
 
@@ -762,10 +796,25 @@ def enumerate_gmc_ref(g: MixedGraph, max_x: int = 2, max_y: int | None = None,
         for y in subsets(rest_x, 1, max_y):
             rest_xy = [v for v in rest_x if v not in y]
             for z in subsets(rest_xy, 0, max_z):
-                if separated_ref(gma_ref(g, x, z, y), x, z, y):
-                    out.add(IndependenceStatement(tuple(v.name for v in x),
-                                                  tuple(v.name for v in y),
-                                                  tuple(v.name for v in z)))
+                out.add(IndependenceStatement(x, y, z))
+    return frozenset(out)
+
+
+def enumerate_gmc_ref(g: MixedGraph, max_x: int = 2, max_y: int | None = None,
+                      max_z: int = 3) -> frozenset[IndependenceStatement]:
+    """The global condition enumerated with one separation search per
+    statement within the bounds, each on the moral graph of its smallest
+    ancestral set (the union of its nodes' ones; built once per distinct
+    set)."""
+    single = {n.name: ancestral_ref(g, [n]) for n in g.nodes}
+    moral: dict[frozenset, MixedGraph] = {}
+    out = set()
+    for s in bounded_statements(g, max_x, max_y, max_z):
+        closed = frozenset().union(*(single[v] for v in s.x + s.y + s.z))
+        if closed not in moral:
+            moral[closed] = moralize_ref(g, closed)
+        if separated_ref(moral[closed], s.x, s.z, s.y):
+            out.add(s)
     return frozenset(out)
 
 

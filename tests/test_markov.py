@@ -17,7 +17,7 @@ from lcn import markov
 from lcn.build import dependency_graph, mixed_structure, structure
 from lcn.errors import GraphError
 from lcn.factorize import condense_cycles
-from lcn.graph import MixedGraph, prop_node
+from lcn.graph import MixedGraph, prop_node, super_node
 from lcn.markov import (
     CONDITIONS,
     GMC_C,
@@ -70,6 +70,13 @@ def test_statement_requires_disjoint_sides():
         IndependenceStatement(("A",), ("B",), ("A",))
     with pytest.raises(GraphError, match="disjoint"):
         IndependenceStatement(("A",), ("B",), ("B", "C"))
+
+
+@pytest.mark.parametrize("sides", [("AB", ("C",)), ("X1", "X2"), (("A",), ("B",), "Z")])
+def test_statement_rejects_a_bare_string_side(sides):
+    # A string is a collection of characters: "AB" would read as {A, B}.
+    with pytest.raises(GraphError, match="not a single string"):
+        IndependenceStatement(*sides)
 
 
 def test_statement_str_forms():
@@ -303,15 +310,47 @@ def test_gmc_implies_every_local_cstr_statement(seed):
 
 
 graph_families = st.sampled_from([helpers.random_chain_graph, helpers.random_mixed_graph])
+# Chain graphs take the composition sweep, graphs with a directed cycle the
+# per-triple query; the sparse chain family draws n - 1 edges.
+gmc_families = st.sampled_from([helpers.random_chain_graph, helpers.sparse_chain_graph,
+                                helpers.random_mixed_graph])
 
 
-@settings(max_examples=60, deadline=None)
-@given(graph_families, st.integers(1, 7), st.integers(0, 10**6), st.integers(1, 3),
+@settings(max_examples=100, deadline=None)
+@given(gmc_families, st.integers(1, 8), st.integers(0, 10**6), st.integers(1, 3),
        st.one_of(st.none(), st.integers(1, 7)), st.integers(0, 4))
 def test_enumerate_gmc_matches_per_triple_reference(family, n, seed, max_x, max_y, max_z):
     g = family(random.Random(seed), n)
     assert enumerate_gmc(g, max_x, max_y, max_z) == \
         helpers.enumerate_gmc_ref(g, max_x, max_y, max_z)
+
+
+@pytest.mark.parametrize("make", [helpers.quad_bidirected, helpers.bidirected_block,
+                                  functools.partial(helpers.cycle_graph, 6)])
+def test_enumerate_gmc_on_directed_cycles_matches_reference(make):
+    g = make()
+    assert g.has_directed_cycle()
+    for bounds in [(2, None, 3), (1, 2, 1), (3, 1, 4)]:
+        assert enumerate_gmc(g, *bounds) == helpers.enumerate_gmc_ref(g, *bounds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gmc_families, st.integers(1, 8), st.integers(0, 10**6))
+def test_enumerate_gmc_statements_equal_their_checked_construction(family, n, seed):
+    for s in enumerate_gmc(family(random.Random(seed), n)):
+        checked = IndependenceStatement(s.x, s.y, s.z)
+        assert checked == s and hash(checked) == hash(s)
+        assert (checked.x, checked.y, checked.z) == (s.x, s.y, s.z)
+        assert str(checked) == str(s) and checked.to_json_dict() == s.to_json_dict()
+
+
+def test_enumerate_gmc_names_sides_by_name_not_node_order():
+    # Props sort before super-nodes, so "~z" comes before "{a,b}" in node
+    # order but after it by name.
+    got = enumerate_gmc(MixedGraph([prop_node("c"), prop_node("~z"), super_node(["a", "b"])]))
+    assert len(got) == 9
+    assert {"c _||_ {a,b},~z", "c _||_ ~z | {a,b}", "c,{a,b} _||_ ~z"} <= stmt_strs(got)
+    assert got == {IndependenceStatement(s.x, s.y, s.z) for s in got}
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,7 +12,8 @@ from lcn.errors import GraphError, ModelError
 from lcn.factorize import factorization_plan
 from lcn.formula import eval_formula, parse_formula
 from lcn.graph import MixedGraph
-from lcn.markov import LMC_C, LMC_CSTR, IndependenceStatement, local_statements
+from lcn.markov import (LMC_C, LMC_CSTR, IndependenceStatement, enumerate_gmc,
+                        local_statements)
 from lcn.model import Constraint, parse_lcn
 from lcn.oracle import (
     DEFAULT_TOL,
@@ -376,6 +377,33 @@ def test_sample_chain_factorized_guards(smokers):
     tail_plan = factorization_plan(helpers.quad_chain_tail())
     with pytest.raises(GraphError, match="outside the graph"):
         sample_chain_factorized(helpers.quad_chain(), tail_plan, 0)
+
+
+# ---------------------------------------------------------------------------
+# Completeness of the global condition
+
+COMPLETENESS_GRAPHS = [(family, n, k)
+                       for family in (helpers.random_chain_graph, helpers.sparse_chain_graph)
+                       for n in range(3, 8) for k in range(2)]
+
+
+@pytest.mark.parametrize("family, n, k", COMPLETENESS_GRAPHS)
+def test_gmc_statements_are_exactly_the_independences_of_factorized_tables(family, n, k):
+    # Almost every parametrization of a discrete chain-graph factorization
+    # is faithful (Pena 2009, IJAR 50(8)).  So on seeded factorized tables a
+    # statement holds iff the global condition implies it, and a statement
+    # missing from `enumerate_gmc` shows as an independence it does not list.
+    g = family(random.Random(f"{family.__name__}/{n}/{k}"), n)
+    plan = factorization_plan(g)
+    tables = [sample_chain_factorized(g, plan, seed) for seed in range(3)]
+    implied = enumerate_gmc(g)
+    for s in helpers.bounded_statements(g):
+        if s in implied:
+            deviation = check_independence(tables[0], s).max_deviation
+            assert deviation <= 1e-12, f"{s} is implied but off by {deviation}"
+        else:
+            assert any(check_independence(t, s).max_deviation >= 1e-9 for t in tables), \
+                f"{s} holds on every table but is not implied"
 
 
 # ---------------------------------------------------------------------------
