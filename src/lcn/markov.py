@@ -38,17 +38,21 @@ GMC_C = "gmc-c"
 LOCAL_CONDITIONS = (LMC_LCN, LMC_C, LMC_CSTR, LMC_D)
 CONDITIONS = LOCAL_CONDITIONS + (GMC_C,)
 
-#: Combinatorial guards for exhaustive statement enumeration.  At 12 nodes
-#: and the default bounds `enumerate_gmc` makes 3,169,728 queries: 1.3 s
-#: for 4,223 statements to 5.4 s for 655,108 on random chain graphs (2-core
-#: VM, Python 3.11.7); sparse graphs cost more, in the statements built.
+#: Combinatorial guards for exhaustive statement enumeration, measured at
+#: 12 nodes and the default bounds (2-core VM, Python 3.11.7).  A chain
+#: graph costs one sweep per (X, Z): `tests/helpers.py`
+#: `random_chain_graph(Random(s), 12)` takes 0.09-0.20 s for 3,061 to
+#: 64,437 statements (s = 0-7), and `sparse_chain_graph` 1.0-1.2 s for
+#: 399,024 to 471,431 (s = 0-2).  A graph with a directed cycle still costs
+#: one query per triple, 3,169,728 in all: 2.3-2.9 s for
+#: `random_mixed_graph(Random(s), 12)`, s = 0, 1.
 #: The node guard does not bound the output: an edgeless 12-node graph
-#: yields 2,934,207 statements, about 1 GB.  So the enumeration also stops
-#: once it holds more than MAX_ENUMERATION_STATEMENTS, set above the largest
-#: outputs measured: 655,108 for `tests/helpers.py`
-#: `random_chain_graph(Random(2), 12)` (271 MB peak RSS) and 941,633 for an
-#: edgeless 11-node graph (354 MB).  The edgeless 12-node graph reaches the
-#: guard after 13.5 s, at 345 MB peak RSS.
+#: yields 2,934,207 statements.  So the enumeration also stops once it
+#: holds more than MAX_ENUMERATION_STATEMENTS, checked after each (X, Z).
+#: The guard sits above the largest outputs measured: 655,108 for
+#: `random_chain_graph(Random(2), 12)` (1.6 s, 110 MB peak RSS) and 941,633
+#: for an edgeless 11-node graph (2.2 s, 130 MB).  The edgeless 12-node
+#: graph reaches the guard after 1.8 s, at 86 MB peak RSS.
 MAX_ENUMERATION_NODES = 12
 MAX_ENUMERATION_STATEMENTS = 1_000_000
 

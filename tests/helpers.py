@@ -169,11 +169,8 @@ def random_mixed_graph(rng: random.Random, n: int,
     return MixedGraph.from_props(names, directed, undirected)
 
 
-def random_chain_graph(rng: random.Random, n: int,
-                       p_within: float = 0.5,
-                       p_between: float = 0.3) -> MixedGraph:
-    """Random chain graph built by construction: undirected edges inside
-    blocks, directed edges from earlier blocks to later ones."""
+def _chain_blocks(rng: random.Random, n: int) -> tuple[list[str], list[list[str]]]:
+    """Names X0..X{n-1} in a shuffled order, cut into blocks of 1-3 nodes."""
     names = [f"X{i}" for i in range(n)]
     rng.shuffle(names)
     blocks: list[list[str]] = []
@@ -182,6 +179,15 @@ def random_chain_graph(rng: random.Random, n: int,
         size = rng.randint(1, 3)
         blocks.append(names[i:i + size])
         i += size
+    return names, blocks
+
+
+def random_chain_graph(rng: random.Random, n: int,
+                       p_within: float = 0.5,
+                       p_between: float = 0.3) -> MixedGraph:
+    """Random chain graph built by construction: undirected edges inside
+    blocks, directed edges from earlier blocks to later ones."""
+    names, blocks = _chain_blocks(rng, n)
     directed: list[tuple[str, str]] = []
     undirected: list[tuple[str, str]] = []
     for bi, block in enumerate(blocks):
@@ -202,14 +208,7 @@ def sparse_chain_graph(rng: random.Random, n: int) -> MixedGraph:
     undirected pairs inside a block and the directed pairs from an earlier
     block to a later one.  Sparse graphs separate many sets, so their GMC
     outputs are the largest."""
-    names = [f"X{i}" for i in range(n)]
-    rng.shuffle(names)
-    blocks: list[list[str]] = []
-    i = 0
-    while i < n:
-        size = rng.randint(1, 3)
-        blocks.append(names[i:i + size])
-        i += size
+    names, blocks = _chain_blocks(rng, n)
     candidates = []
     for bi, block in enumerate(blocks):
         candidates += [("u", a, b) for a, b in combinations(block, 2)]
