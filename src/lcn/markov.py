@@ -186,29 +186,28 @@ def enumerate_gmc(g: MixedGraph,
     the members' sets, so it is tabled per node subset; each moral graph is
     built once per distinct ancestral set.
 
-    Chain graphs take one sweep per (X, Z).  There the moralization
-    criterion equals c-separation (Studený & Bouckaert 1998, Ann. Statist.
-    26(4)), a condition on trails between single nodes, so X ⊥ Y | Z holds
-    iff X ⊥ {y} | Z holds for every y ∈ Y: the statements are the nonempty
-    Y ⊆ S of at most max_y nodes, where S holds the separated singletons.
-    Let A = An(X ∪ Z), M its moral graph and R the nodes X reaches in M
-    without entering Z (X in, Z out).  Then y ∉ X ∪ Z is joined to X iff
-    y ∈ R or y lies on a step path (edges forward) from a child outside A
-    of a node of R.  Proof: let B = An(y) ∖ A.  A is closed under parents
-    and neighbours, so a chain component of A ∪ B lies in A or in B, the
-    only edges between A and B run from A into B, and a step path from
-    b ∈ B to y stays in B, which misses Z.  In the moral graph of A ∪ B the
-    edges inside A are M's plus marriages among parents of components in
-    B, and a node of A is adjacent to B only through a child in B.  So a
-    path from X to y avoiding Z either uses M's edges to reach y ∈ R, or
-    first leaves them at a node of R with a child in B; and such a child
-    reaches y inside B.
+    Each (X, Z) takes one sweep.  Let A = An(X ∪ Z), M its moral graph, R
+    the nodes X reaches in M without entering Z, and J the nodes of R plus
+    those on a step path (edges forward) from a child outside A of a node
+    of R.  Then for Y outside X ∪ Z, X ⊥ Y | Z fails iff Y meets J; so the
+    condition is compositional, and the statements of (X, Z) are the
+    nonempty Y ⊆ S of at most max_y nodes, S the nodes outside X ∪ Z ∪ J.
+    Proof: let B = An(Y) ∖ A.  A is closed under parents and neighbours,
+    so a chain component of A ∪ B lies in A or in B, every edge between A
+    and B runs from A into B, and a step path from b ∈ B into Y stays in
+    B, which misses Z.  In the moral graph of A ∪ B the edges inside A are
+    M's plus marriages among parents of components in B, and a node of A
+    is adjacent to B only through a child in B.  So a path from X to Y
+    avoiding Z either uses M's edges to reach Y inside R, or first leaves
+    them at a node of R with a child in B, which reaches Y inside B.
+    Conversely M is a subgraph of that moral graph, and a child in B of a
+    node of R is joined to it there.  Nothing here needs the graph to be
+    free of directed cycles.
 
-    A graph with a directed cycle keeps one query per (X, Y, Z) triple.  A
-    statement whose sides both fit either bound is reached from both sides
-    and built from the smaller X mask only.  MAX_ENUMERATION_NODES caps the
-    nodes and MAX_ENUMERATION_STATEMENTS the output; their notes give the
-    measured costs.
+    A statement whose sides both fit either bound is reached from both
+    sides and built from the smaller X mask only.  MAX_ENUMERATION_NODES
+    caps the nodes and MAX_ENUMERATION_STATEMENTS the output; their notes
+    give the measured costs.
     """
     if max_x < 1 or (max_y is not None and max_y < 1) or max_z < 0:
         raise GraphError("enumeration bounds must satisfy max_x >= 1, max_y >= 1 "
@@ -235,7 +234,6 @@ def enumerate_gmc(g: MixedGraph,
         # Node order puts props before super-nodes; names need not follow.
         names = [tuple(sorted(side)) for side in names]
     moral: dict[int, list[int]] = {}
-    chain = g.is_chain_graph()
     children, steps, reach = g._child_masks, g._step_masks, g._reach
     out: list[IndependenceStatement] = []
     full = (1 << n) - 1
@@ -246,24 +244,14 @@ def enumerate_gmc(g: MixedGraph,
         mirror_limit = x if x.bit_count() <= max_y else 0
         for z in _submasks(rest_x, 0, max_z):
             base = closure[x | z]
-            if chain:
-                adj = moral.get(base)
-                if adj is None:
-                    adj = moral[base] = g._moral(base)
-                reached = reach(x, adj, ~z) & ~z
-                exits = _union(children, reached) & ~base
-                if exits:
-                    reached |= reach(exits, steps)
-                ys: Iterable[int] = _submasks(rest_x & ~(z | reached), 1, max_y)
-            else:
-                ys = []
-                for y in _submasks(rest_x ^ z, 1, max_y):
-                    ancestral = base | closure[y]
-                    adj = moral.get(ancestral)
-                    if adj is None:
-                        adj = moral[ancestral] = g._moral(ancestral)
-                    if _separated(adj, x, y, z):
-                        ys.append(y)
+            adj = moral.get(base)
+            if adj is None:
+                adj = moral[base] = g._moral(base)
+            joined = reach(x, adj, ~z) & ~z
+            exits = _union(children, joined) & ~base
+            if exits:
+                joined |= reach(exits, steps)
+            ys = _submasks(rest_x & ~(z | joined), 1, max_y)
             name_z = names[z]
             out += [_statement(name_x, names[y], name_z) for y in ys
                     if y > mirror_limit or y.bit_count() > max_x]

@@ -310,10 +310,10 @@ def test_gmc_implies_every_local_cstr_statement(seed):
 
 
 graph_families = st.sampled_from([helpers.random_chain_graph, helpers.random_mixed_graph])
-# Chain graphs take the composition sweep, graphs with a directed cycle the
-# per-triple query; the sparse chain family draws n - 1 edges.
+# The sweep serves every graph: the mixed and overlapping families draw
+# directed cycles and bi-directed pairs, the sparse chain family n - 1 edges.
 gmc_families = st.sampled_from([helpers.random_chain_graph, helpers.sparse_chain_graph,
-                                helpers.random_mixed_graph])
+                                helpers.random_mixed_graph, helpers.random_overlapping_graph])
 
 
 @settings(max_examples=100, deadline=None)
