@@ -39,13 +39,12 @@ LOCAL_CONDITIONS = (LMC_LCN, LMC_C, LMC_CSTR, LMC_D)
 CONDITIONS = LOCAL_CONDITIONS + (GMC_C,)
 
 #: Combinatorial guards for exhaustive statement enumeration, measured at
-#: 12 nodes and the default bounds (2-core VM, Python 3.11.7).  A chain
-#: graph costs one sweep per (X, Z): `tests/helpers.py`
+#: 12 nodes and the default bounds (2-core VM, Python 3.11.7).  A graph
+#: costs one sweep per (X, Z): `tests/helpers.py`
 #: `random_chain_graph(Random(s), 12)` takes 0.09-0.20 s for 3,061 to
-#: 64,437 statements (s = 0-7), and `sparse_chain_graph` 1.0-1.2 s for
-#: 399,024 to 471,431 (s = 0-2).  A graph with a directed cycle still costs
-#: one query per triple, 3,169,728 in all: 2.3-2.9 s for
-#: `random_mixed_graph(Random(s), 12)`, s = 0, 1.
+#: 64,437 statements (s = 0-7), `sparse_chain_graph` 1.0-1.2 s for 399,024
+#: to 471,431 (s = 0-2), and `random_mixed_graph(Random(s), 12)`, which has
+#: directed cycles, 0.08-0.11 s for 255 and 32,997 (s = 1, 0).
 #: The node guard does not bound the output: an edgeless 12-node graph
 #: yields 2,934,207 statements.  So the enumeration also stops once it
 #: holds more than MAX_ENUMERATION_STATEMENTS, checked after each (X, Z).
