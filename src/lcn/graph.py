@@ -31,16 +31,25 @@ from .formula import CanonicalKey
 
 _KIND_RANK = {"prop": 0, "super": 1, "formula": 2}
 
-#: Most frames one simple-path search inside a cyclic step component
-#: (`MixedGraph._directed_path_reach`) pushes before it fails.  The search
-#: pushes 1.5-2 M frames/s, so it gives up after about a second.  Measured
-#: (2-core VM, Python 3.11.7): the perfbench indep-graphs ops of seeds 0-9
-#: need at most 1,703 frames per search (components of up to 13 nodes);
-#: `tests/helpers.py` `random_mixed_graph(Random(16), 16)` needs at most
-#: 357,291 per search, 3.1 M over its 16 searches for `lmc-c` (1.8 s);
-#: the first search on the denser `random_mixed_graph(Random(16), 16, 0.2,
-#: 0.1, 0.05)` passes 10 M frames; unbounded, it ran past 210 s.
-MAX_PATH_SEARCH_FRAMES = 2_000_000
+#: Most frames the path searches for descendants inside cyclic step
+#: components (`MixedGraph._directed_path_reach`) take in one
+#: `local_statements` or `descendants` call before it fails; a frame is one
+#: undirected prefix.  The search takes 0.7-1.0 M frames/s, so it gives up
+#: after 1-1.5 s.  Measured (2-core VM, Python 3.11.7): the perfbench
+#: indep-graphs ops of seeds 0-9 need at most 20 frames per search and 127
+#: per call (components of up to 14 nodes); `tests/helpers.py`
+#: `random_mixed_graph(Random(16), 16)` at most 7 per search, and the denser
+#: `random_mixed_graph(Random(16), 16, 0.2, 0.1, 0.05)` one per search.
+#: Dense undirected components cost most: `random_mixed_graph(Random(13),
+#: 14, 0.05, 0.4, 0.02)` takes 642,554 frames for `lmc-c` (0.85 s), while
+#: 800 other such graphs at n = 13-16 need at most 16,055.  An undirected
+#: 11-clique with one bi-directed pair out of it needs 9.9 M for one search.
+MAX_PATH_SEARCH_FRAMES = 1_000_000
+
+
+def _path_budget() -> list[int]:
+    """A fresh frame budget for the path searches of one call."""
+    return [MAX_PATH_SEARCH_FRAMES]
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,51 +404,60 @@ class MixedGraph:
 
     # -- reachability ------------------------------------------------------
 
-    def _directed_path_reach(self, start: int, component: int) -> int:
+    def _directed_path_reach(self, start: int, component: int, budget: list[int]) -> int:
         """Mask of the nodes of `component`, the step component of node
         `start`, reached from it by a simple path with a directed edge.
 
-        Walk-based reachability is not sound here: a walk revisiting a node
-        need not contain a *simple* directed path to its endpoint.  So this
-        backtracks over all simple paths inside the component, depth first
-        on an explicit stack with one frame per path node: the path's mask,
-        whether it has used a directed edge, and the steps from its last
-        node still to try (bit v an undirected step to v, bit n + v a
-        directed one).  The first frame holds one undirected step onto start.
-        Raises GraphError once it would push more than MAX_PATH_SEARCH_FRAMES.
+        Walk-based reachability is not sound for the whole path: a walk
+        revisiting a node need not contain a *simple* directed path to its
+        endpoint.  It is sound after the first directed edge.  Such a path
+        is an undirected prefix from start to some u, with path mask P, a
+        directed step u -> w with w in free = component & ~P, and a suffix
+        from w inside free.  The nodes a suffix can end at are exactly the
+        step closure of w inside free, as a walk inside free shortens to a
+        simple path over its own nodes; and every node of a suffix ends a
+        shorter one.  So only the prefixes are backtracked, depth first on
+        an explicit stack of (last node, path mask) frames, and each adds
+        the closure of its last node's children inside free.
+
+        Reach bound: every node that a prefix or its extensions add lies in
+        the step closure of u's steps inside free, since an extension's
+        nodes after u, its directed step and its suffix all step on from
+        there inside free.  A prefix whose bound `reached` already covers is
+        skipped, and its extensions are not pushed once the bound is
+        covered.  The search stops once it has reached the whole component
+        but start.  Each closure is cut down to free: `_reach` also returns
+        the neighbours it does not expand.
+
+        `budget` is a one-item list of the frames left, shared by the
+        searches of one call; a frame is one prefix taken off the stack.
+        Raises GraphError once the searches would take more than that.
         """
-        n = len(self.nodes)
-        children, neighbors = self._child_masks, self._neighbor_masks
+        children, steps, reach = self._child_masks, self._step_masks, self._reach
+        neighbors = self._neighbor_masks
+        goal = component & ~(1 << start)
         reached = 0
-        stack = [[0, False, 1 << start]]
-        frames_left = MAX_PATH_SEARCH_FRAMES - 1
+        stack = [(start, 1 << start)]
         while stack:
-            frame = stack[-1]
-            steps = frame[2]
-            if not steps:
-                stack.pop()
-                continue
-            low = steps & -steps
-            frame[2] = steps ^ low
-            v = low.bit_length() - 1
-            used = frame[1]
-            if v >= n:
-                v -= n
-                used = True
-            if used:
-                reached |= 1 << v
-            path = frame[0] | 1 << v
-            free = component & ~path
-            if not frames_left:
+            if not budget[0]:
                 raise GraphError(
                     f"the path search for the descendants of {self.nodes[start].name!r} in "
                     f"its {component.bit_count()}-node cyclic step component exceeds the "
                     f"{MAX_PATH_SEARCH_FRAMES:,}-frame budget")
-            frames_left -= 1
-            stack.append([path, used, (children[v] & free) << n | neighbors[v] & free])
+            budget[0] -= 1
+            u, path = stack.pop()
+            free = component & ~path
+            bound = reach(steps[u] & free, steps, free) & free
+            if not bound & ~reached:
+                continue
+            reached |= reach(children[u] & free, steps, free) & free
+            if reached == goal:
+                break
+            if bound & ~reached:
+                stack += [(v, path | 1 << v) for v in _bits(neighbors[u] & free)]
         return reached
 
-    def _descendant_mask(self, i: int) -> int:
+    def _descendant_mask(self, i: int, budget: list[int] | None = None) -> int:
         """Mask of the nodes reachable from node i by a directed path.
 
         Let S be the step component of i.  A step path from i leaves S along
@@ -449,11 +467,15 @@ class MixedGraph:
         is reached from i and reaches i through that endpoint; so inside S
         they are what the search confined to S finds.  That search runs
         only when S holds a directed edge, and so never on a chain graph.
+        It draws on `budget` (see `_directed_path_reach`), a fresh one of
+        MAX_PATH_SEARCH_FRAMES unless the caller shares its own.
         """
         component = self._step_components()[i]
         reached = self._reach(1 << i, self._step_masks) & ~component
         if _union(self._child_masks, component) & component:
-            reached |= self._directed_path_reach(i, component)
+            if budget is None:
+                budget = _path_budget()
+            reached |= self._directed_path_reach(i, component, budget)
         return reached
 
     def _strict_descendant_mask(self, i: int) -> int:

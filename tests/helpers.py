@@ -245,6 +245,22 @@ def random_mixed_kinds_graph(rng: random.Random, n: int) -> MixedGraph:
                       [(labels[a], labels[b]) for a, b in g.undirected])
 
 
+def random_props_and_supers_graph(rng: random.Random, n: int) -> MixedGraph:
+    """`random_mixed_graph` with its nodes relabelled into propositions and
+    super-nodes.  Every other proposition is named `~<i>`, which sorts after
+    the `{...}` names of super-nodes, so that node order, which puts every
+    proposition first, differs from name order."""
+    g = random_mixed_graph(rng, n)
+    labels = {}
+    for i, node in enumerate(g.nodes):
+        labels[node] = (prop_node(f"Z{i}") if i % 3 == 0
+                        else super_node([f"S{i}", f"S{i}b"]) if i % 3 == 1
+                        else prop_node(f"~{i}"))
+    return MixedGraph(labels.values(),
+                      [(labels[a], labels[b]) for a, b in g.directed],
+                      [(labels[a], labels[b]) for a, b in g.undirected])
+
+
 def random_undirected_graph(rng: random.Random, n: int,
                             p: float = 0.35) -> MixedGraph:
     names = [f"X{i}" for i in range(n)]

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import helpers
 import lcn
 from lcn.cli import DEFAULT_GRAPH_FOR_CONDITION, main
+from lcn.graph import MixedGraph
 from lcn.markov import CONDITIONS
 from lcn.oracle import DEFAULT_TOL
 
@@ -201,20 +203,41 @@ def test_indep_on_a_long_chain_without_traceback(tmp_path):
     assert "N1 _||_ N3 | N2" in lines
 
 
-def test_indep_on_a_dense_cyclic_structure_stops_at_the_path_budget(tmp_path):
-    # One 16-node step component full of directed cycles: the exact search
-    # over its simple paths ran past 210 s before it had a budget.
-    g = helpers.random_mixed_graph(random.Random(16), 16, 0.2, 0.1, 0.05)
+def structure_model(tmp_path, name, g):
+    """A model whose mixed structure is `g`: a `D` constraint per directed
+    edge and a `U` constraint per undirected one."""
     text = "".join(f"D: P({b.name} given {a.name}) = 0.5\n" for a, b in sorted(g.directed))
     text += "".join(f"U: P({a.name} & {b.name}) = 0.5\n" for a, b in sorted(g.undirected))
-    model = write(tmp_path, "dense.lcn", text)
+    return write(tmp_path, name, text)
+
+
+def test_indep_on_a_dense_cyclic_structure_answers(tmp_path):
+    # One 16-node step component full of directed cycles.  The search over
+    # every simple path of it ran past 210 s unbounded and then stopped at
+    # its frame budget; every node's descendants are the other fifteen, so
+    # no node has a remainder.
+    g = helpers.random_mixed_graph(random.Random(16), 16, 0.2, 0.1, 0.05)
+    model = structure_model(tmp_path, "dense.lcn", g)
     for condition in ("lmc-c", "lmc-d"):
         proc = run_lcn("indep", model, "--condition", condition, timeout=15)
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr.splitlines() == [
-            "error: the path search for the descendants of 'X0' in its 16-node cyclic "
-            "step component exceeds the 2,000,000-frame budget"]
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+def test_indep_stops_at_the_path_budget(tmp_path):
+    # An undirected 11-clique K0..K10 with K1 <-> Y, which lmc-d reads off
+    # the mixed structure: K0 has no descendant but Y, yet Y leads back
+    # into the clique, so the reach bound never prunes and the search walks
+    # the 9.9 M undirected paths from K0.
+    clique = [f"K{i}" for i in range(11)]
+    g = MixedGraph.from_props(clique + ["Y"], [("K1", "Y"), ("Y", "K1")],
+                              list(itertools.combinations(clique, 2)))
+    model = structure_model(tmp_path, "clique.lcn", g)
+    proc = run_lcn("indep", model, "--condition", "lmc-d", timeout=30)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: the path search for the descendants of 'K0' in its 12-node cyclic "
+        "step component exceeds the 1,000,000-frame budget"]
 
 
 def test_indep_json_reports_default_graph(capsys):

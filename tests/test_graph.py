@@ -277,6 +277,8 @@ def test_chain_graph_descendants_match_component_reference(seed, n):
 @given(st.integers(0, 10**6), st.integers(1, 8),
        st.sampled_from([random_chain_graph, random_mixed_graph,
                         functools.partial(random_mixed_graph, p_dir=0.3, p_und=0.3, p_bi=0.1),
+                        # Dense undirected edges: long undirected prefixes.
+                        functools.partial(random_mixed_graph, p_dir=0.05, p_und=0.4, p_bi=0.02),
                         helpers.random_overlapping_graph, helpers.random_mixed_kinds_graph]))
 def test_descendants_match_simple_path_reference(seed, n, family):
     g = family(random.Random(seed), n)
@@ -290,16 +292,37 @@ def test_descendants_match_simple_path_reference(seed, n, family):
 
 
 def test_path_search_stops_at_its_frame_budget(monkeypatch):
-    # From A1 on A1 -> A2 -> A3 -> A1 the search pushes four frames: one
-    # onto A1, then one per step along the cycle.
-    g = helpers.cycle_graph(3)
-    monkeypatch.setattr(lcn.graph, "MAX_PATH_SEARCH_FRAMES", 4)
-    assert names(g.descendants("A1")) == {"A2", "A3"}
-    monkeypatch.setattr(lcn.graph, "MAX_PATH_SEARCH_FRAMES", 3)
-    with pytest.raises(GraphError, match="descendants of 'A1' in its 3-node cyclic step "
-                                         "component exceeds the 3-frame budget"):
-        g.descendants("A1")
-    assert names(g.strict_descendants("A1")) == {"A2", "A3"}  # never searches
+    # From X1 the search takes seven undirected prefixes:
+    #   X1;
+    #   X1 X4, where X4 -> X0 reaches X0, X2, X3 and covers the bound;
+    #   X1 X2, whose bound still holds X4;
+    #   X1 X2 X4 and X1 X2 X0, skipped by the bound inside the free nodes;
+    #   X1 X0;
+    #   X1 X0 X3, where X3 -> X2 reaches X4, and the search stops with
+    #   X1 X0 X2 still on the stack.
+    g = MixedGraph.from_props(["X0", "X1", "X2", "X3", "X4"], [("X3", "X2"), ("X4", "X0")],
+                              [("X0", "X1"), ("X0", "X2"), ("X0", "X3"), ("X1", "X2"),
+                               ("X1", "X4"), ("X2", "X4")])
+    assert g._step_components()[1] == 0b11111
+    monkeypatch.setattr(lcn.graph, "MAX_PATH_SEARCH_FRAMES", 7)
+    assert names(g.descendants("X1")) == {"X0", "X2", "X3", "X4"}
+    assert g.descendants("X1") == helpers.directed_path_reach_ref(g, "X1")
+    monkeypatch.setattr(lcn.graph, "MAX_PATH_SEARCH_FRAMES", 6)
+    with pytest.raises(GraphError, match="descendants of 'X1' in its 5-node cyclic step "
+                                         "component exceeds the 6-frame budget"):
+        g.descendants("X1")
+    assert names(g.strict_descendants("X1")) == set()  # never searches
+
+
+def test_descendants_cover_the_dense_cyclic_component():
+    # One 16-node step component full of directed cycles: the search over
+    # every simple path ran past the budget here; every node's first prefix
+    # now reaches the other fifteen.
+    g = random_mixed_graph(random.Random(16), 16, 0.2, 0.1, 0.05)
+    everything = frozenset(g.nodes)
+    assert all(component == 2**16 - 1 for component in g._step_components())
+    for node in g.nodes:
+        assert g.descendants(node) == everything - {node}
 
 
 def test_long_directed_path_answers_at_the_default_recursion_limit():

@@ -175,7 +175,8 @@ dense_mixed_graph = functools.partial(helpers.random_mixed_graph, p_dir=0.25, p_
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([helpers.random_chain_graph, helpers.random_mixed_graph,
-                        dense_mixed_graph, helpers.random_overlapping_graph]),
+                        dense_mixed_graph, helpers.random_overlapping_graph,
+                        helpers.random_props_and_supers_graph]),
        st.integers(1, 8), st.integers(0, 10**6), st.sampled_from([LMC_C, LMC_CSTR, LMC_D]))
 def test_local_statements_match_set_based_reference(family, n, seed, condition):
     g = family(random.Random(seed), n)
@@ -185,7 +186,10 @@ def test_local_statements_match_set_based_reference(family, n, seed, condition):
 def test_local_statements_need_no_whole_graph_path_search():
     # Strict descendants never search, and a chain graph has no step
     # component holding a directed edge.  A search over every simple path
-    # of the whole graph takes minutes on each of these.
+    # of the whole graph takes minutes on each of these.  On the cyclic
+    # 16-node graphs the search over undirected prefixes needs at most
+    # seven frames per node; the one over every simple path inside each
+    # step component took 2 s on the first and hit its budget on the second.
     script = textwrap.dedent("""
         import random
         from helpers import random_chain_graph, random_mixed_graph
@@ -194,11 +198,30 @@ def test_local_statements_need_no_whole_graph_path_search():
         chain = random_chain_graph(random.Random(200), 200)
         for condition in ("lmc-c", "lmc-cstr", "lmc-d"):
             local_statements(chain, condition)
+        for cyclic in (random_mixed_graph(random.Random(16), 16),
+                       random_mixed_graph(random.Random(16), 16, 0.2, 0.1, 0.05)):
+            for condition in ("lmc-c", "lmc-d"):
+                local_statements(cyclic, condition)
     """)
     path = os.pathsep.join([str(Path(lcn.__file__).resolve().parents[1]),
                             str(Path(__file__).resolve().parent)])
     subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
                    timeout=30, check=True)
+
+
+def test_path_search_budget_is_shared_by_one_call(monkeypatch):
+    # Each node of A1 -> A2 -> A3 -> A1 takes one frame: its first prefix
+    # reaches the other two.  `descendants` draws a fresh budget on every
+    # call; `local_statements` shares one among its three searches.
+    g = helpers.cycle_graph(3)
+    monkeypatch.setattr(lcn.graph, "MAX_PATH_SEARCH_FRAMES", 1)
+    assert all(len(g.descendants(node)) == 2 for node in g.nodes)
+    monkeypatch.setattr(lcn.graph, "MAX_PATH_SEARCH_FRAMES", 3)
+    assert local_statements(g, LMC_D) == frozenset()
+    monkeypatch.setattr(lcn.graph, "MAX_PATH_SEARCH_FRAMES", 2)
+    with pytest.raises(GraphError, match="descendants of 'A3' in its 3-node cyclic step "
+                                         "component exceeds the 2-frame budget"):
+        local_statements(g, LMC_D)
 
 
 @settings(max_examples=60, deadline=None)
