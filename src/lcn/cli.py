@@ -195,11 +195,13 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
         data = _plan_json(plan)
         if prune is not None:
             data["prune"] = {
+                "layout": "alive is a hex mask: bit i is set iff the assignment "
+                          "giving clique[j] bit j of i survives",
                 "cliques": [
                     {
                         "factor": space.component_index,
                         "clique": list(space.clique),
-                        "configurations": [list(c) for c in space.configurations],
+                        "alive": format(space.alive, "x"),
                         "removed": space.removed,
                     }
                     for space in prune.cliques

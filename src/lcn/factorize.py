@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import GraphError
-from .formula import TOP_KEY, Not, Or, canonical_key, truth_mask
+from .formula import MAX_TRUTH_TABLE_PROPS, TOP_KEY, Not, Or, canonical_key, truth_mask
 from .graph import MixedGraph, Node, _bits, _collapse_bidirected, super_node
 from .model import Lcn, format_constraint
 
@@ -155,15 +155,6 @@ def condense_cycles(g: MixedGraph) -> tuple[MixedGraph, dict[Node, Node]]:
 # ---------------------------------------------------------------------------
 # Hard-constraint pruning
 
-#: Largest plan clique, in propositions, that pruning accepts.  Text output
-#: reads only the survivor masks, but JSON lists all 2^k configurations.
-#: `lcn factorize --prune` on one k-clique model (2-core VM, Python 3.11.7),
-#: text / JSON output: k = 14 0.12 / 0.38 s (2.9 MB of JSON), k = 16
-#: 0.12 / 1.39 s (13 MB, 97 MB peak RSS), k = 18 0.08 / 6.7 s (58 MB,
-#: 376 MB peak RSS); without `--prune` 0.12, 0.12 and 0.08 s.
-MAX_PRUNE_CLIQUE_PROPS = 16
-
-
 @dataclass(frozen=True)
 class CliqueConfigurations:
     """Surviving assignments of one clique after pruning.
@@ -202,14 +193,15 @@ def prune_hard_constraints(lcn: Lcn, plan: FactorizationPlan) -> PruneReport:
     falsifying it are removed from the first plan clique containing the
     formula's propositions.  A hard constraint whose propositions fit in
     no single clique is reported as an error rather than accepted.  Raises
-    GraphError on a clique of more than MAX_PRUNE_CLIQUE_PROPS propositions.
+    GraphError, before any mask is built, on a clique of more than
+    MAX_TRUTH_TABLE_PROPS propositions: each survivor mask is a truth table.
     """
     for factor in plan.factors:
         for clique in factor.cliques:
-            if len(clique) > MAX_PRUNE_CLIQUE_PROPS:
+            if len(clique) > MAX_TRUTH_TABLE_PROPS:
                 raise GraphError(
                     f"pruning a clique of {len(clique)} propositions exceeds the "
-                    f"{MAX_PRUNE_CLIQUE_PROPS}-proposition clique cap: "
+                    f"{MAX_TRUTH_TABLE_PROPS}-proposition truth-table cap: "
                     "{" + ",".join(n.name for n in clique) + "}")
     spaces = [[ci, tuple(n.name for n in clique), (1 << (1 << len(clique))) - 1]
               for ci, factor in enumerate(plan.factors) for clique in factor.cliques]

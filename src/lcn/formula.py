@@ -39,7 +39,12 @@ from .errors import ParseError, LcnError
 RESERVED_WORDS = frozenset({"given", "true", "false", "U", "D"})
 
 #: Largest joint support for truth-table operations on formulas (the joint
-#: probability tables of `lcn.oracle` have their own, smaller limit).
+#: probability tables of `lcn.oracle` have their own, smaller limit), and
+#: largest clique that `lcn.factorize` pruning masks.  At 20 propositions
+#: (2-core VM, Python 3.11.7): pruning a clique with one hard constraint
+#: takes 1.5 ms; `lcn factorize --prune --format json` on the model
+#: `U: P(A0 & ... & A19) = 0.5`, `U: 1 <= P(A0 | A1) <= 1` takes 0.13 s,
+#: writes 264 KB and peaks at 20 MB RSS.
 MAX_TRUTH_TABLE_PROPS = 20
 
 #: Deepest parenthesis nesting the parser accepts.  Runs of `!` and chains

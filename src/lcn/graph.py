@@ -562,7 +562,8 @@ class MixedGraph:
             raise GraphError("separation is defined on undirected graphs only")
         s1, s2, s3 = self.resolve_set(n1), self.resolve_set(n2), self.resolve_set(n3)
         _check_disjoint(s1, s2, s3)
-        return _separated(self._neighbor_masks, self._mask(s1), self._mask(s3), self._mask(s2))
+        m1, m2, m3 = self._mask(s1), self._mask(s2), self._mask(s3)
+        return not self._reach(m1, self._neighbor_masks, ~m2) & m3
 
 
 def _collapse_bidirected(g: MixedGraph) -> MixedGraph:
@@ -571,24 +572,6 @@ def _collapse_bidirected(g: MixedGraph) -> MixedGraph:
     both = [c & p for c, p in zip(g._child_masks, g._parent_masks)]
     return MixedGraph._from_masks(g.nodes, [c ^ b for c, b in zip(g._child_masks, both)],
                                   [nb | b for nb, b in zip(g._neighbor_masks, both)])
-
-
-def _separated(adj: list[int], a: int, b: int, cut: int) -> bool:
-    """Whether no path of the undirected graph with adjacency `adj` joins
-    `a` to `b` avoiding `cut` (the three sets disjoint): a breadth-first
-    search from `a` that never enters `cut`."""
-    reached = frontier = a
-    while frontier:
-        step = 0
-        while frontier:  # _union inlined: this loop is the hot path
-            low = frontier & -frontier
-            step |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = step & ~(reached | cut)
-        if frontier & b:
-            return False
-        reached |= frontier
-    return True
 
 
 def _check_disjoint(*sets: frozenset[Node]) -> None:

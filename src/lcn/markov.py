@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 
 from .build import _descendants_mask, _formula_mask, _parents_mask, _require_prop
 from .errors import GraphError
-from .graph import MixedGraph, Node, _bits, _check_disjoint, _path_budget, _separated, _union
+from .graph import MixedGraph, Node, _bits, _check_disjoint, _path_budget, _union
 
 LMC_LCN = "lmc-lcn"
 LMC_C = "lmc-c"
@@ -178,7 +178,7 @@ def gmc_implies(g: MixedGraph,
         raise GraphError("both outer sets of an independence query must be nonempty")
     _check_disjoint(s1, s2, s3)
     m1, m2, m3 = g._mask(s1), g._mask(s2), g._mask(s3)
-    return _separated(g._moral(g._ancestral(m1 | m2 | m3)), m1, m3, m2)
+    return not g._reach(m1, g._moral(g._ancestral(m1 | m2 | m3)), ~m2) & m3
 
 
 def enumerate_gmc(g: MixedGraph,

@@ -379,21 +379,23 @@ def test_factorize_prune_output_golden(tmp_path, capsys):
     factors = [(["a", "c"], [], [["a", "c"]], "P(a,c)"),
                (["b", "d"], ["a", "c"], [["a", "b", "c"], ["b", "d"]], "P(b,d | a,c)"),
                (["e"], ["b"], [["b", "e"]], "P(e | b)")]
-    every2 = [[0, 0], [1, 0], [0, 1], [1, 1]]
-    # (a & c) -> b drops a=1,b=0,c=1; b | !d drops b=0,d=1.
-    survivors = [(0, ["a", "c"], every2, 0),
-                 (1, ["a", "b", "c"], [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0],
-                                       [0, 0, 1], [0, 1, 1], [1, 1, 1]], 1),
-                 (1, ["b", "d"], [[0, 0], [1, 0], [1, 1]], 1),
-                 (2, ["b", "e"], every2, 0)]
+    # Bit i of `alive` is the assignment giving clique[j] bit j of i.
+    # (a & c) -> b drops a=1,b=0,c=1 (bit 5 of "df"); b | !d drops b=0,d=1
+    # (bit 2 of "b").
+    survivors = [(0, ["a", "c"], "f", 0),
+                 (1, ["a", "b", "c"], "df", 1),
+                 (1, ["b", "d"], "b", 1),
+                 (2, ["b", "e"], "f", 0)]
     expected = {
         "positivity_assumed": True,
         "expression": "P(a,c) * P(b,d | a,c) * P(e | b)",
         "factors": [{"component": c, "boundary": b, "cliques": k, "expression": e}
                     for c, b, k, e in factors],
         "prune": {
-            "cliques": [{"factor": f, "clique": k, "configurations": s, "removed": r}
-                        for f, k, s, r in survivors],
+            "layout": "alive is a hex mask: bit i is set iff the assignment "
+                      "giving clique[j] bit j of i survives",
+            "cliques": [{"factor": f, "clique": k, "alive": a, "removed": r}
+                        for f, k, a, r in survivors],
             "errors": [],
         },
     }
@@ -416,8 +418,8 @@ def test_factorize_prune_error_exit(tmp_path, capsys):
 
 
 def test_factorize_prune_refuses_a_clique_over_the_cap(tmp_path):
-    # Three overlapping constraints join A0..A23 into one clique: listing
-    # its 2^24 configurations did not finish in 100 s.
+    # Three overlapping constraints within the cap join A0..A23 into one
+    # clique, whose survivor mask would be a truth table over 24 propositions.
     groups = (range(20), range(4, 24), [*range(4), *range(20, 24)])
     model = write(tmp_path, "clique24.lcn", "".join(
         "U: P(" + " & ".join(f"A{i}" for i in group) + ") = 0.5\n" for group in groups))
@@ -426,8 +428,29 @@ def test_factorize_prune_refuses_a_clique_over_the_cap(tmp_path):
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: pruning a clique of 24 propositions exceeds "
-                                      "the 16-proposition clique cap: {A0,A1,A10,")
+                                      "the 20-proposition truth-table cap: {A0,A1,A10,")
+        assert "Traceback" not in proc.stderr
     assert main(["factorize", model]) == 0  # the plan itself needs no cap
+
+
+def test_factorize_prunes_a_clique_at_the_truth_table_cap(tmp_path):
+    k = 20
+    model = write(tmp_path, "clique20.lcn",
+                  "U: P(" + " & ".join(f"A{i}" for i in range(k)) + ") = 0.5\n"
+                  "U: 1 <= P(A0 | A1) <= 1\n")
+    names = sorted(f"A{i}" for i in range(k))
+    proc = run_lcn("factorize", model, "--prune", timeout=15)
+    assert proc.returncode == 0, proc.stderr
+    # A0 | A1 drops every assignment with A0 = A1 = 0.
+    assert proc.stdout.splitlines()[-1] == (
+        f"  pruned {2 ** (k - 2)} configuration(s) from {{{','.join(names)}}} of factor 0")
+    proc = run_lcn("factorize", model, "--prune", "--format", "json", timeout=15)
+    assert proc.returncode == 0, proc.stderr
+    (clique,) = json.loads(proc.stdout)["prune"]["cliques"]
+    assert clique["clique"] == names  # A0 is bit 0 and A1 bit 1 of each index
+    # Of each four assignments, index 0 (A0 = A1 = 0) is gone: hex digit 0b1110.
+    assert clique["alive"] == "e" * 2 ** (k - 2)
+    assert clique["removed"] == 2 ** (k - 2)
 
 
 @pytest.mark.parametrize("extra", [[], ["--prune"], ["--format", "json"]])

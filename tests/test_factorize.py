@@ -1,4 +1,9 @@
+import contextlib
+import io
+import json
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -6,9 +11,9 @@ from hypothesis import strategies as st
 
 import helpers
 from lcn.build import dependency_graph, mixed_structure, structure
+from lcn.cli import main
 from lcn.errors import GraphError
 from lcn.factorize import (
-    MAX_PRUNE_CLIQUE_PROPS,
     CliqueConfigurations,
     FactorizationPlan,
     component_dag,
@@ -17,8 +22,8 @@ from lcn.factorize import (
     prune_hard_constraints,
 )
 from lcn.graph import MixedGraph, prop_node
-from lcn.formula import Not, Or, canonical_key, eval_formula, support
-from lcn.model import Constraint, make_lcn, parse_lcn
+from lcn.formula import MAX_TRUTH_TABLE_PROPS, Not, Or, canonical_key, eval_formula, support
+from lcn.model import Constraint, format_lcn, make_lcn, parse_lcn
 
 
 def comp_names(components):
@@ -297,10 +302,13 @@ def test_prune_tautological_implication_is_noop():
 
 
 def test_prune_refuses_a_clique_over_the_cap():
-    k = MAX_PRUNE_CLIQUE_PROPS + 1
-    lcn = parse_lcn("U: P(" + " & ".join(f"A{i}" for i in range(k)) + ") = 0.5\n")
+    # Three constraints within the cap join A0..A{k-1} into one clique.
+    k = MAX_TRUTH_TABLE_PROPS + 1
+    groups = (range(k - 1), range(1, k), (0, k - 1))
+    lcn = parse_lcn("".join(
+        "U: P(" + " & ".join(f"A{i}" for i in group) + ") = 0.5\n" for group in groups))
     with pytest.raises(GraphError, match=f"clique of {k} propositions exceeds the "
-                                         f"{k - 1}-proposition clique cap"):
+                                         f"{k - 1}-proposition truth-table cap"):
         prune_hard_constraints(lcn, factorization_plan(structure(lcn)))
 
 
@@ -385,3 +393,23 @@ def test_prune_matches_per_configuration_reference(seed):
     plan = factorization_plan(structure(lcn))
     report = prune_hard_constraints(lcn, plan)
     assert [(c.clique, c.configurations) for c in report.cliques] == prune_ref(lcn, plan)
+
+    # The CLI reads the model back from text, which drops unused propositions.
+    text = format_lcn(lcn)
+    parsed = parse_lcn(text)
+    report = prune_hard_constraints(parsed, factorization_plan(structure(parsed)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.lcn")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(["factorize", path, "--prune", "--format", "json"])
+    decoded = []
+    for c in json.loads(out.getvalue())["prune"]["cliques"]:
+        alive, k = int(c["alive"], 16), len(c["clique"])
+        decoded.append((tuple(c["clique"]),
+                        tuple(tuple(i >> j & 1 for j in range(k))
+                              for i in range(1 << k) if alive >> i & 1),
+                        c["removed"]))
+    assert decoded == [(c.clique, c.configurations, c.removed) for c in report.cliques]
